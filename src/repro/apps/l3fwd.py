@@ -14,6 +14,7 @@ from typing import List, Optional
 from repro import config
 from repro.apps.lpm import Dir24_8, LpmTrie
 from repro.dpdk.app import PacketApp
+from repro.nic import ipv4hdr
 from repro.nic.flows import FlowSet
 from repro.nic.packet import TaggedPacket
 
@@ -53,8 +54,6 @@ class L3FwdApp(PacketApp):
         self.table.insert(addr, depth, port)
 
     def handle(self, tagged: List[TaggedPacket]) -> None:
-        from repro.nic import ipv4hdr
-
         cache = self._hdr_cache
         for pkt in tagged:
             self.lookups += 1

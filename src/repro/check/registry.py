@@ -38,6 +38,12 @@ Monitor catalogue (one hook family each; see docs/CHECK.md):
     (:meth:`on_ring`) and, at quiesce, packet conservation holds on
     every registered queue: arrived == popped + dropped + in-flight
     (:meth:`quiesce`).
+``cpu``
+    CPU time is conserved per core, exactly: the busy span equals the
+    threads' cputime + IRQ + context-switch + C-state-stall charges,
+    less charges not yet elapsed, plus time run but not yet charged.
+    A thread's vruntime never decreases.  Checked whenever a thread
+    leaves its CPU (:meth:`on_cpu_leave`) and at :meth:`quiesce`.
 
 Violations carry trace-style attribution (simulated time, subject,
 monitor, invariant) and are capped; past the cap only counters grow.
@@ -53,7 +59,7 @@ from repro.kernel.nice import NICE_0_WEIGHT
 from repro.kernel.thread import ThreadState
 
 #: every monitor the registry knows, in report order
-MONITORS = ("clock", "timer", "sleep", "sched", "lock", "nic")
+MONITORS = ("clock", "timer", "sleep", "sched", "lock", "nic", "cpu")
 
 
 @dataclass(frozen=True)
@@ -107,12 +113,15 @@ class CheckRegistry:
         self._sched = "sched" in self.monitors
         self._lock = "lock" in self.monitors
         self._nic = "nic" in self.monitors
+        self._cpu = "cpu" in self.monitors
         # lock shadow state: id(lock) -> (lock, owner); locks are kept
         # alive by their groups for the machine's lifetime, so ids are
         # stable for the run
         self._held: Dict[int, Tuple[object, object]] = {}
         self._locks: List[object] = []
         self._queues: List[object] = []
+        #: cpu monitor: last vruntime seen per thread
+        self._vruntime: Dict[object, int] = {}
         #: same-weight runnable vruntime spread bound, in wall ns for a
         #: nice-0 thread: one full stint (slice ≤ sched_latency, caught
         #: by the next tick) plus the sleeper-fairness credit, with
@@ -332,6 +341,48 @@ class CheckRegistry:
             )
 
     # ------------------------------------------------------------------ #
+    # CPU time (CfsScheduler._leave_cpu, and quiesce)
+    # ------------------------------------------------------------------ #
+
+    def on_cpu_leave(self, thread) -> None:
+        """``thread`` is leaving its core (sleep, preempt, yield, exit)
+        with its accounting current: audit the core's time."""
+        if not self._cpu:
+            return
+        self._check_vruntime(thread)
+        self._check_core_time(thread.core)
+
+    def _check_vruntime(self, thread) -> None:
+        self.checked["cpu"] += 1
+        v = thread.vruntime
+        last = self._vruntime.get(thread)
+        if last is not None and v < last:
+            self.violation(
+                "cpu", "vruntime-monotone", thread.name,
+                f"vruntime fell from {last} to {v}",
+            )
+        self._vruntime[thread] = v
+
+    def _check_core_time(self, core) -> None:
+        self.checked["cpu"] += 1
+        sched = self.machine.scheduler
+        cputime = sum(t.cputime_ns for t in self.machine.threads
+                      if t.core is core)
+        inflight = sched.inflight_irq_ns(core)
+        unsettled = sched.unsettled_ns(core)
+        charged = (cputime + core.irq_ns + core.switch_ns
+                   + core.exit_stall_ns - inflight + unsettled)
+        busy = core.total_busy_ns()
+        if busy != charged:
+            self.violation(
+                "cpu", "conservation", f"core{core.index}",
+                f"busy span {busy} != cputime {cputime} + irq "
+                f"{core.irq_ns} + switch {core.switch_ns} + stall "
+                f"{core.exit_stall_ns} - inflight irq {inflight} + "
+                f"unsettled {unsettled} (off by {busy - charged})",
+            )
+
+    # ------------------------------------------------------------------ #
     # end-of-run invariants
     # ------------------------------------------------------------------ #
 
@@ -344,9 +395,16 @@ class CheckRegistry:
           off mid-drain legitimately leaves the drainer holding its
           lock — but a sleeping or dead holder can never release);
         * with ``consumed`` given (the workload's popped-packet count),
-          the queues' pop totals match it exactly.
+          the queues' pop totals match it exactly;
+        * every core conserves CPU time and no thread's vruntime fell
+          since it last left its CPU.
         """
         start = len(self.violations)
+        if self._cpu:
+            for thread in self.machine.threads:
+                self._check_vruntime(thread)
+            for core in self.machine.cores:
+                self._check_core_time(core)
         if self._lock:
             held = sorted(self._held.values(),
                           key=lambda lo: getattr(lo[0], "name", ""))

@@ -304,16 +304,18 @@ class MetronomeGroup:
             )
             for sq in self.shared
         ]
+        # scan orders: the identity, and every rotation of it (indexed by
+        # starting offset) so no queue is structurally the last one every
+        # thread reaches
+        in_order = range(nq)
+        rotations = [[(off + k) % nq for k in range(nq)] for off in range(nq)]
         while self.iterations is None or stats.iterations < self.iterations:
             stats.iterations += 1
             lock_taken = False
             if self.rotate_scan:
-                # start the scan at a rotating offset so no queue is
-                # structurally the last one every thread reaches
-                off = (idx + stats.iterations) % nq
-                order = [(off + k) % nq for k in range(nq)]
+                order = rotations[(idx + stats.iterations) % nq]
             else:
-                order = range(nq)
+                order = in_order
             for qi in order:
                 sq = self.shared[qi]
                 t_extra, b_extra, p_extra = penalties[qi]

@@ -54,9 +54,6 @@ class Core:
         self._busy_since: Optional[int] = None
         self.idle_since: Optional[int] = 0  # core starts idle at t=0
 
-        # pending IRQ time to splice into the running thread's timeline
-        self.irq_backlog = 0
-
         # fault-injection accounting (repro.faults): SMI-style freezes
         self.smi_stalls = 0
         self.smi_stall_ns = 0

@@ -87,6 +87,9 @@ class CfsScheduler:
         self.sim = machine.sim
         self._cs: List[_CoreSched] = [_CoreSched(c) for c in machine.cores]
         self._switch_rng = machine.streams.stream("sched.switch")
+        #: False during a synchronous dispatch: chunks then complete
+        #: through the calendar (see _dispatch and _advance)
+        self._inline = True
 
     # ------------------------------------------------------------------ #
     # public API
@@ -204,14 +207,35 @@ class CfsScheduler:
             pending += cs.irq_busy_until - self.sim.now
         return pending
 
+    def unsettled_ns(self, core: Core) -> int:
+        """Busy time on ``core`` not yet matched by its charges.
+
+        Positive: the running thread's interval since its last
+        accounting point (run, not yet charged).  Negative: what is left
+        of a dispatch in flight, whose C-state exit stall, context switch
+        and spliced-in handler time were charged when it started (IRQ
+        windows are :meth:`inflight_irq_ns`'s).  Together they close the
+        identity the ``cpu`` monitor checks: ``total_busy_ns == Σ cputime
+        + irq + switch + exit_stall − inflight_irq_ns + unsettled_ns``.
+        """
+        cs = self._cs[core.index]
+        now = self.sim.now
+        if core.current is not None:
+            return now - cs.acct_mark
+        if cs.pending_begin is not None:
+            return min(0, max(now, cs.irq_busy_until) - cs.pending_begin.time)
+        return 0
+
     def settle_idle(self, core: Core) -> None:
         """Return the core to idle if nothing is running or queued.
 
         Called after IRQ handlers whose callback turned out not to make
-        anything runnable on this core.
+        anything runnable on this core.  A handler window still in
+        flight keeps the core busy; it settles idle when it ends.
         """
         cs = self._cs[core.index]
-        if core.current is None and cs.switching is None and cs.rq_len == 0:
+        if (core.current is None and cs.switching is None and cs.rq_len == 0
+                and cs.irq_busy_until <= self.sim.now):
             core.mark_idle()
 
     # ------------------------------------------------------------------ #
@@ -309,7 +333,13 @@ class CfsScheduler:
         if delay:
             cs.pending_begin = self.sim.call_after(delay, self._begin_run, cs, thread)
         else:
+            # a synchronous dispatch runs inside a caller that resumes
+            # once it returns (wake()'s caller, a yielding thread's
+            # _advance): the dispatched thread must not run ahead of it
+            # on the inline path, nor nest one _advance per chunk
+            inline, self._inline = self._inline, False
             self._begin_run(cs, thread)
+            self._inline = inline
 
     def _begin_run(self, cs: _CoreSched, thread: KThread) -> None:
         cs.pending_begin = None
@@ -382,8 +412,21 @@ class CfsScheduler:
     # ------------------------------------------------------------------ #
 
     def _advance(self, cs: _CoreSched, thread: KThread) -> None:
-        """Pull actions from the thread body until one occupies the CPU."""
+        """Pull actions from the thread body until one occupies the CPU.
+
+        Inline completion: a Compute or future BusySpin chunk whose end
+        would be the next event to fire anyway completes in place.  That
+        needs no other runnable thread on the core (no tick or wakeup
+        preemption can cut the chunk), no stolen IRQ time still to
+        splice in, and :meth:`Simulator.advance_to` confirming that no
+        event is due at or before the chunk's end.  The clock then moves
+        there, the thread is charged exactly as :meth:`_on_complete`
+        would charge it, and the next action is pulled in the same loop:
+        no calendar entry, no callback.  Any other chunk goes through
+        :meth:`_program_completion`, the general (reference) path.
+        """
         core = cs.core
+        sim = self.sim
         while True:
             try:
                 action = thread.body.send(thread._send_value)
@@ -400,11 +443,22 @@ class CfsScheduler:
                 if thread.cold_penalty == 1:
                     thread.remaining_work += default_cold_penalty(action.work_ns)
                     thread.cold_penalty = 0
+                if (cs.rq_len == 0 and cs.irq_skip == 0 and self._inline
+                        and sim.advance_to(
+                            sim.now + core.work_to_wall(thread.remaining_work))):
+                    self._account(cs)
+                    thread.remaining_work = 0
+                    continue
                 self._program_completion(cs)
                 return
             if isinstance(action, BusySpin):
                 thread.cold_penalty = 0
-                if action.until <= self.sim.now:
+                if action.until <= sim.now:
+                    continue
+                if (cs.rq_len == 0 and cs.irq_skip == 0 and self._inline
+                        and sim.advance_to(action.until)):
+                    self._account(cs)
+                    thread.remaining_work = 0
                     continue
                 self._program_completion(cs)
                 return
@@ -416,12 +470,9 @@ class CfsScheduler:
                 return
             if isinstance(action, YieldCpu):
                 thread.state = ThreadState.RUNNABLE
-                thread.runnable_since = self.sim.now
+                thread.runnable_since = sim.now
                 thread.action = None
-                core.current = None
-                if cs.completion is not None:
-                    cs.completion.cancel()
-                    cs.completion = None
+                self._leave_cpu(cs, thread)
                 self._enqueue(cs, thread)
                 self._dispatch(cs)
                 return
@@ -436,11 +487,7 @@ class CfsScheduler:
             tracer.thread_sleep(thread)
         thread.state = state
         thread.action = None
-        cs.core.current = None
-        if cs.completion is not None:
-            cs.completion.cancel()
-            cs.completion = None
-        self._flush_residual_skip(cs)
+        self._leave_cpu(cs, thread)
         self._dispatch(cs)
 
     def _exit_thread(self, cs: _CoreSched, thread: KThread, value) -> None:
@@ -450,13 +497,23 @@ class CfsScheduler:
         thread.state = ThreadState.DEAD
         thread.action = None
         thread.exit_value = value
+        self._leave_cpu(cs, thread)
+        thread.exited.succeed(value)
+        self._dispatch(cs)
+
+    def _leave_cpu(self, cs: _CoreSched, thread: KThread) -> None:
+        """Take the running ``thread`` off its core (sleep, preempt, yield,
+        exit).  Accounting is current here, so this is where the ``cpu``
+        monitor audits the core; pending stolen IRQ time stays on the
+        core as an idle-context window."""
+        checks = self.machine.checks
+        if checks is not None:
+            checks.on_cpu_leave(thread)
         cs.core.current = None
         if cs.completion is not None:
             cs.completion.cancel()
             cs.completion = None
         self._flush_residual_skip(cs)
-        thread.exited.succeed(value)
-        self._dispatch(cs)
 
     # ------------------------------------------------------------------ #
     # accounting
@@ -489,14 +546,20 @@ class CfsScheduler:
         self._update_min_vruntime(cs)
 
     def _update_min_vruntime(self, cs: _CoreSched) -> None:
-        candidates = []
-        if cs.core.current is not None:
-            candidates.append(cs.core.current.vruntime)
+        """Raise ``min_vruntime`` to min(running, runqueue head), never
+        lowering it (allocation-free: this runs on every accounting)."""
+        current = cs.core.current
         head = self._peek_vruntime(cs)
-        if head is not None:
-            candidates.append(head)
-        if candidates:
-            cs.min_vruntime = max(cs.min_vruntime, min(candidates))
+        if current is not None:
+            v = current.vruntime
+            if head is not None and head < v:
+                v = head
+        elif head is not None:
+            v = head
+        else:
+            return
+        if v > cs.min_vruntime:
+            cs.min_vruntime = v
 
     # ------------------------------------------------------------------ #
     # preemption
@@ -506,12 +569,22 @@ class CfsScheduler:
         current = cs.core.current
         if current is None:
             return
+        if cs.completion is None:
+            # the running thread's own body did the wake: preempting now
+            # would cut the body mid-step.  Like Linux's need_resched,
+            # check again once it has reached its next action.
+            self.sim.call_after(0, self._recheck_preempt, cs, woken)
+            return
         self._account(cs)
         gran_v = config.SCHED_WAKEUP_GRANULARITY_NS * NICE_0_WEIGHT // woken.weight
         if woken.vruntime + gran_v < current.vruntime:
             self._preempt(cs)
         else:
             self._ensure_tick(cs)
+
+    def _recheck_preempt(self, cs: _CoreSched, woken: KThread) -> None:
+        if woken.state is ThreadState.RUNNABLE:
+            self._check_preempt_wakeup(cs, woken)
 
     def _preempt(self, cs: _CoreSched) -> None:
         thread = cs.core.current
@@ -522,11 +595,7 @@ class CfsScheduler:
             tracer.thread_preempt(thread)
         thread.state = ThreadState.RUNNABLE
         thread.runnable_since = self.sim.now
-        cs.core.current = None
-        if cs.completion is not None:
-            cs.completion.cancel()
-            cs.completion = None
-        self._flush_residual_skip(cs)
+        self._leave_cpu(cs, thread)
         self._enqueue(cs, thread)
         self._dispatch(cs)
 

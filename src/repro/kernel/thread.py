@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 from typing import Any, Generator, Optional
 
-from repro.kernel.nice import NICE_0_WEIGHT, weight_for_nice
+from repro.kernel.nice import weight_for_nice
 
 
 class ThreadState(enum.Enum):
@@ -140,8 +140,6 @@ class KThread:
         self.action: Any = None
         #: value to send into the generator on next advance
         self._send_value: Any = None
-        #: absolute time until which a BusySpin runs
-        self.spin_until: int = 0
         #: one-time cold-cache penalty still to pay (base-frequency ns)
         self.cold_penalty: int = 0
         #: set while the thread sits on a runqueue (heap entry liveness)
@@ -165,11 +163,6 @@ class KThread:
         return f"<KThread {self.name} tid={self.tid} {self.state.value}>"
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def inv_weight_num(self) -> int:
-        """Numerator for vruntime scaling: delta_v = delta * 1024 / weight."""
-        return NICE_0_WEIGHT
 
     def wake(self) -> None:
         """Make a SLEEPING thread runnable (no-op in any other state).

@@ -161,6 +161,8 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._stopped = False
+        #: the active run()'s ``until`` bound (advance_to honours it)
+        self._until: Optional[int] = None
         #: near-future ring; slot ``tick & _BUCKET_MASK`` holds the
         #: unsorted entries of bucket ``tick``
         self._buckets: List[list] = [[] for _ in range(_NUM_BUCKETS)]
@@ -410,6 +412,7 @@ class Simulator:
             raise SimulationError("simulator is re-entrant only via step()")
         self._running = True
         self._stopped = False
+        self._until = until
         try:
             while not self._stopped:
                 # fast path: next staged entry is live and nothing in the
@@ -451,6 +454,59 @@ class Simulator:
         """Halt :meth:`run` after the current callback returns."""
         self._stopped = True
 
+    def advance_to(self, when: int) -> bool:
+        """Fire an event due at ``when`` in place instead of scheduling it.
+
+        A caller about to ``call_at(when, fn)`` may instead ask to move
+        the clock there and run ``fn``'s work itself.  That is only
+        equivalent when the entry would be the very next one to fire, so
+        this succeeds only if all of these hold:
+
+        * it is called inside :meth:`run`, and :meth:`stop` has not been
+          called since;
+        * ``when`` is at or before the run's ``until`` bound;
+        * ``when`` is strictly earlier than every live entry (an entry
+          at exactly ``when`` was scheduled first, so it fires first).
+
+        On success it does exactly what firing the replaced entry would:
+        it consumes one sequence number (so :attr:`events_scheduled` and
+        checkpoint fingerprints are unchanged), reports the execution to
+        the clock monitor, and sets :attr:`now` to ``when``.  On refusal
+        nothing changes and the caller schedules the entry as usual.
+
+        The caller must be in tail position: nothing still on its call
+        stack between the run loop and the caller may act at the old
+        clock after it returns (the scheduler never inlines inside a
+        synchronous dispatch, whose caller carries on at its instant).
+        """
+        if when < self.now:
+            raise SimulationError(
+                f"cannot advance to t={when} (now={self.now}): time travels forward"
+            )
+        if not self._running or self._stopped:
+            return False
+        until = self._until
+        if until is not None and when > until:
+            return False
+        if self._live:
+            # the staged run's head is the earliest entry when it is
+            # live and neither side heap holds anything before it
+            run = self._run
+            pos = self._run_pos
+            far = self._far
+            if (pos < len(run) and run[pos][3] is not None and not self._extra
+                    and (not far or run[pos] < far[0])):
+                head = run[pos][0]
+            else:
+                head = self.peek()
+            if head is not None and head <= when:
+                return False
+        self._seq += 1
+        if self.monitor is not None:
+            self.monitor.on_execute(self.now, when)
+        self.now = when
+        return True
+
     @property
     def pending(self) -> int:
         """Number of live scheduled callbacks (tombstones excluded)."""
@@ -491,10 +547,13 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total calendar entries scheduled since construction.
+        """Calendar entries scheduled plus events fired in place by
+        :meth:`advance_to`, since construction.
 
-        Monotonic schedule counter (cancellations included) — the
-        denominator ``repro bench`` uses for events/sec throughput.
+        Monotonic counter (cancellations included) — the denominator
+        ``repro bench`` uses for events/sec throughput.  An inlined
+        completion counts exactly like the calendar entry it replaces,
+        so the value does not depend on how many were inlined.
         """
         return self._seq
 

@@ -14,18 +14,49 @@ class StubSim:
         self.now = 0
 
 
+class StubCore:
+    def __init__(self, index=0, busy=0, irq=0, switch=0, stall=0):
+        self.index = index
+        self.busy = busy
+        self.irq_ns = irq
+        self.switch_ns = switch
+        self.exit_stall_ns = stall
+
+    def total_busy_ns(self):
+        return self.busy
+
+
+class StubScheduler:
+    """Per-core-index in-flight IRQ and unsettled time, set by tests."""
+
+    def __init__(self):
+        self.inflight = {}
+        self.unsettled = {}
+
+    def inflight_irq_ns(self, core):
+        return self.inflight.get(core.index, 0)
+
+    def unsettled_ns(self, core):
+        return self.unsettled.get(core.index, 0)
+
+
 class StubMachine:
     def __init__(self):
         self.sim = StubSim()
+        self.threads = []
+        self.cores = []
+        self.scheduler = StubScheduler()
 
 
 class StubThread:
     def __init__(self, name="t0", vruntime=0, weight=NICE_0_WEIGHT,
-                 state=ThreadState.RUNNING):
+                 state=ThreadState.RUNNING, core=None, cputime_ns=0):
         self.name = name
         self.vruntime = vruntime
         self.weight = weight
         self.state = state
+        self.core = core
+        self.cputime_ns = cputime_ns
 
 
 class StubCoreState:
@@ -246,6 +277,82 @@ def test_quiesce_consumed_mismatch():
     reg.register_queue(q)
     added = reg.quiesce(consumed=80)
     assert [v.invariant for v in added] == ["delivered-matches-popped"]
+
+
+# ---------------------------------------------------------------------- #
+# CPU time
+# ---------------------------------------------------------------------- #
+
+def cpu_machine_registry():
+    """One core whose 1000 ns busy span splits exactly into 600 ns of
+    two threads' cputime + 200 IRQ + 100 switch + 100 C-state stall."""
+    reg = registry(monitors=["cpu"])
+    core = StubCore(busy=1000, irq=200, switch=100, stall=100)
+    a = StubThread("a", core=core, cputime_ns=400)
+    b = StubThread("b", core=core, cputime_ns=200)
+    reg.machine.cores.append(core)
+    reg.machine.threads.extend([a, b])
+    return reg, core, a
+
+
+def test_cpu_conservation_exact_on_leave():
+    reg, core, a = cpu_machine_registry()
+    reg.on_cpu_leave(a)
+    assert reg.ok
+    assert reg.checked["cpu"] == 2          # vruntime + core time
+    core.busy += 1                          # a single leaked nanosecond
+    reg.on_cpu_leave(a)
+    (v,) = reg.violations
+    assert (v.monitor, v.invariant, v.subject) == (
+        "cpu", "conservation", "core0")
+    assert "off by 1" in v.message
+
+
+def test_cpu_conservation_counts_inflight_and_unsettled():
+    reg, core, a = cpu_machine_registry()
+    # 50 ns of charged IRQ time still to elapse, 30 ns run uncharged
+    reg.machine.scheduler.inflight[0] = 50
+    reg.machine.scheduler.unsettled[0] = 30
+    core.busy = 1000 - 50 + 30
+    reg.on_cpu_leave(a)
+    assert reg.ok
+    # a thread spawned later joins its core's sum
+    reg.machine.threads.append(StubThread("c", core=core, cputime_ns=5))
+    reg.on_cpu_leave(a)
+    assert [v.invariant for v in reg.violations] == ["conservation"]
+
+
+def test_cpu_vruntime_never_decreases():
+    reg, core, a = cpu_machine_registry()
+    a.vruntime = 100
+    reg.on_cpu_leave(a)
+    a.vruntime = 100
+    reg.on_cpu_leave(a)
+    assert reg.ok
+    a.vruntime = 99
+    reg.on_cpu_leave(a)
+    (v,) = reg.violations
+    assert (v.invariant, v.subject) == ("vruntime-monotone", "a")
+
+
+def test_quiesce_audits_every_core_and_thread():
+    reg, core, a = cpu_machine_registry()
+    assert reg.quiesce() == []
+    assert reg.checked["cpu"] == 3          # two threads + one core
+    a.vruntime = 10
+    reg.on_cpu_leave(a)
+    a.vruntime = 5
+    core.irq_ns += 7
+    added = reg.quiesce()
+    assert sorted(v.invariant for v in added) == [
+        "conservation", "vruntime-monotone"]
+
+
+def test_cpu_monitor_disabled_checks_nothing():
+    reg = registry(monitors=["clock"])
+    reg.on_cpu_leave(StubThread())
+    assert reg.checked["cpu"] == 0
+    assert reg.quiesce() == []
 
 
 # ---------------------------------------------------------------------- #

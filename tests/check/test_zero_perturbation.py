@@ -6,6 +6,7 @@ deployment are bit-identical — including the final state of every RNG
 stream, which would diverge on the first extra draw."""
 
 from repro import config
+from repro.check import MONITORS
 from repro.core.tuning import FixedTuner
 from repro.harness.experiment import run_dpdk, run_metronome
 from repro.sim.units import US
@@ -66,9 +67,10 @@ def test_monitors_do_not_perturb_dpdk():
 
 
 def test_full_run_exercises_every_monitor_family():
-    """A noisy Metronome run must feed all six monitors — a hook that
-    silently stopped being called would make its invariant vacuous."""
+    """A noisy Metronome run must feed every monitor family — a hook
+    that silently stopped being called would make its invariant
+    vacuous."""
     _, res = _metronome_fingerprint(checks=True)
     reg = res.machine.checks
-    for name in ("clock", "timer", "sleep", "sched", "lock", "nic"):
+    for name in MONITORS:
         assert reg.checked[name] > 0, f"monitor {name} never consulted"

@@ -256,3 +256,71 @@ def test_runnable_count(machine):
     machine.run(until=100 * US)
     # one running, two queued
     assert machine.scheduler.runnable_count(machine.cores[0]) == 2
+
+
+def test_wake_from_own_body_preempts_at_the_next_action():
+    """A running thread that wakes a higher-priority thread on its own
+    core keeps the CPU until its body reaches its next action; the
+    woken thread then preempts it (Linux's need_resched)."""
+    m = make_machine(num_cores=1)
+    m.enable_checks()
+    log = []
+
+    def urgent(kt):
+        yield Suspend()
+        log.append(("urgent", m.now))
+        yield Compute(10 * US)
+        yield Exit()
+
+    def waker(kt):
+        yield Compute(50 * US)
+        urgent_thread.wake()
+        log.append(("waker", m.now))
+        yield Compute(1 * MS)
+        yield Exit()
+
+    urgent_thread = m.spawn(urgent, name="urgent", core=0, nice=-20)
+    w = m.spawn(waker, name="waker", core=0, nice=19)
+    m.run()
+    assert [name for name, _ in log] == ["waker", "urgent"]
+    # the urgent thread ran right after the context switch, not after
+    # the waker's 1 ms chunk
+    assert log[1][1] - log[0][1] < 20 * US
+    assert w.preemptions == 1
+    assert w.state is ThreadState.DEAD
+    assert m.checks.ok, m.checks.report()
+
+
+def test_settle_idle_keeps_an_irq_window_busy(machine):
+    """An IRQ handler window still in flight keeps the core busy even
+    if another handler's callback asks to settle idle."""
+    core = machine.cores[1]
+    sched = machine.scheduler
+    machine.sim.call_after(1 * MS, core.inject_irq_time, 300 * US)
+    machine.sim.call_after(1 * MS + 100 * US, sched.settle_idle, core)
+    machine.run(until=1 * MS + 200 * US)
+    assert core.is_busy
+    machine.run(until=5 * MS)
+    assert not core.is_busy
+    assert core.busy_ns == 300 * US
+
+
+def test_yield_keeps_pending_irq_time_on_the_core(machine):
+    """Stolen IRQ time still pending when a thread yields elapses as an
+    idle-context window before the next dispatch (busy time conserved)."""
+    core = machine.cores[0]
+
+    def body(kt):
+        yield BusySpin(machine.now + 100 * US)
+        yield YieldCpu()
+        yield Compute(10 * US)
+        yield Exit()
+
+    t = machine.spawn(body, name="spinner", core=0)
+    # lands 10 us before the spin ends: 40 us of it is still to run
+    machine.sim.call_after(90 * US, core.inject_irq_time, 50 * US)
+    machine.run()
+    busy = core.total_busy_ns()
+    assert busy == t.cputime_ns + core.irq_ns + core.switch_ns \
+        + core.exit_stall_ns
+    assert core.irq_ns == 50 * US
