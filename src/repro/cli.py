@@ -257,8 +257,11 @@ def _pacing(duration_scale: float, seed: int) -> str:
         count=scaled(300, duration_scale, 50), seed=seed)
     return render_table(
         "Extension — sleep-based pacing",
-        ["service", "kpps", "rate error", "jitter us"],
+        ["service", "target kpps", "rate error", "jitter us",
+         "gap compliance"],
         rows,
+        note="compliance = fraction of inter-departure gaps within "
+             "±50% of the ideal interval (bursting scores low)",
     )
 
 

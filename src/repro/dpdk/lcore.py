@@ -78,6 +78,14 @@ class PollModeLcore:
         )
         return self.thread
 
+    @property
+    def cores(self) -> List[int]:
+        return [self.core]
+
+    @property
+    def total_packets(self) -> int:
+        return self.rx_packets
+
     # ------------------------------------------------------------------ #
 
     def _body(self, kt: KThread):

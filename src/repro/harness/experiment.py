@@ -1,16 +1,20 @@
 """Uniform runners for the three systems under study.
 
-Each runner builds a fresh :class:`~repro.kernel.machine.Machine`, wires
-traffic → queues → application → system, runs for a simulated duration,
-and returns a result record with the metrics the paper reports: loss,
-CPU utilization (100% = one core), latency distribution, throughput,
-and — for Metronome — renewal-cycle statistics and controller state.
+Every runner goes through one pipeline, :func:`_run`: it builds a fresh
+:class:`~repro.kernel.machine.Machine`, arms the instruments, puts the
+traffic on one :class:`~repro.nic.device.NicPort`, starts the receiver
+the runner builds on that port (a Metronome group, a DPDK lcore or an
+XDP driver), runs for a simulated duration, and measures every receiver
+the same way.  Each result record carries the metrics the paper
+reports: loss, CPU utilization (100% = one core), latency distribution,
+throughput, and — for Metronome — renewal-cycle statistics and
+controller state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import config
 from repro.core.metronome import MetronomeGroup, WatchdogConfig
@@ -22,7 +26,6 @@ from repro.kernel.machine import Machine
 from repro.metrics.latency import LatencyStats
 from repro.nic.device import NicPort
 from repro.nic.flows import FlowSet
-from repro.nic.rxqueue import RxQueue
 from repro.nic.topology import rss_shard
 from repro.nic.traffic import ArrivalProcess, CbrProcess, FaultableProcess
 from repro.sim.snapshot import MachineState
@@ -52,6 +55,8 @@ class BaseRunResult:
     cpu_utilization: float
     energy_j: float
     latency: LatencyStats
+    machine: Optional[Machine] = field(default=None, repr=False)
+    checkpoint: Optional[MachineState] = field(default=None, repr=False)
 
     @property
     def loss_fraction(self) -> float:
@@ -64,8 +69,7 @@ class BaseRunResult:
     @property
     def tracer(self):
         """The machine's event tracer (NULL_TRACER unless ``trace=True``)."""
-        machine = getattr(self, "machine", None)
-        return machine.tracer if machine is not None else None
+        return self.machine.tracer if self.machine is not None else None
 
 
 @dataclass
@@ -79,8 +83,6 @@ class MetronomeRunResult(BaseRunResult):
     rho: float = 0.0
     ts_us: float = 0.0
     group: Optional[MetronomeGroup] = field(default=None, repr=False)
-    machine: Optional[Machine] = field(default=None, repr=False)
-    checkpoint: Optional[MachineState] = field(default=None, repr=False)
 
     @property
     def busy_try_fraction(self) -> float:
@@ -90,59 +92,155 @@ class MetronomeRunResult(BaseRunResult):
 @dataclass
 class DpdkRunResult(BaseRunResult):
     lcore: Optional[PollModeLcore] = field(default=None, repr=False)
-    machine: Optional[Machine] = field(default=None, repr=False)
-    checkpoint: Optional[MachineState] = field(default=None, repr=False)
 
 
 @dataclass
 class XdpRunResult(BaseRunResult):
     irqs: int = 0
-    machine: Optional[Machine] = field(default=None, repr=False)
-    checkpoint: Optional[MachineState] = field(default=None, repr=False)
 
 
-def _run_with_checkpoint(
-    machine: Machine,
-    until: int,
-    checkpoint_at_ns: Optional[int],
-    at_checkpoint: Optional[Callable[[Machine, MachineState], None]],
+def _run(
+    build: Callable[[Machine, NicPort], Any],
+    processes: List[ArrivalProcess],
+    duration_ms: int,
+    cfg: Optional[config.SimConfig],
+    *,
     label: str,
-    prior: Optional[MachineState] = None,
-) -> Optional[MachineState]:
-    """Advance to ``until``, pausing once at ``checkpoint_at_ns``.
+    flows: Optional[FlowSet] = None,
+    queue_nodes: Optional[List[int]] = None,
+    trace: bool = False,
+    checks: bool = False,
+    fault_plan: Optional[FaultPlan] = None,
+    setup_hook: Optional[Callable[[Machine, Any], None]] = None,
+    checkpoint_at_ns: Optional[int] = None,
+    at_checkpoint: Optional[Callable[[Machine, MachineState], None]] = None,
+) -> Tuple[Any, Dict[str, Any]]:
+    """The one build → run → measure path every runner goes through.
 
-    The pause takes a :meth:`Machine.snapshot` (pure, so the run's
-    results are unchanged) and hands ``(machine, state)`` to
-    ``at_checkpoint``.  The hook is the fork-into-variant-futures seam:
-    it may mutate the live machine (retune the controller, inject an
-    extra workload, ...) so the remainder of the run explores a variant
-    future sharing the snapshot's verified prefix.  ``prior`` threads an
-    already-taken checkpoint through multi-phase runs (warmup, then the
-    measured window) so the snapshot is taken exactly once.
+    Builds the :class:`Machine`, arms the instruments (tracer, check
+    monitors, fault plan) before any workload exists so construction
+    hooks bind to them, puts one Rx queue per arrival process on a
+    :class:`NicPort`, and starts the receiver ``build(machine, port)``
+    returns — anything with ``start()``, ``cores`` and
+    ``total_packets``.  ``setup_hook(machine, receiver)`` runs after the
+    start (interference workloads, samplers, ...).
+
+    The measurement window is ``[0, duration_ms)``: CPU is the
+    receiver cores' executing time over the window (100% = one core),
+    energy the package energy over it.  ``checkpoint_at_ns`` pauses the
+    window once for a pure :meth:`Machine.snapshot`;
+    ``at_checkpoint(machine, state)`` may then mutate the live machine
+    to fork a variant future off the verified prefix (see
+    :mod:`repro.sim.snapshot`).
+
+    Returns the receiver and the :class:`BaseRunResult` fields every
+    runner shares, minus ``latency`` (each receiver records its own).
     """
-    if (prior is None and checkpoint_at_ns is not None
+    machine = Machine(cfg or config.SimConfig())
+    if trace:
+        machine.enable_tracing()
+    if checks:
+        machine.enable_checks()
+    if fault_plan is not None:
+        engine = machine.install_faults(fault_plan)
+        if any(s.kind in TRAFFIC_KINDS for s in fault_plan.specs):
+            processes = [FaultableProcess(p) for p in processes]
+            for process in processes:
+                engine.register_process(process)
+    port = NicPort(
+        machine.sim,
+        processes,
+        flows=flows,
+        ring_size=machine.cfg.rx_ring_size,
+        sample_every=machine.cfg.latency_sample_every,
+        queue_nodes=queue_nodes,
+    )
+    receiver = build(machine, port)
+    receiver.start()
+    if setup_hook is not None:
+        setup_hook(machine, receiver)
+
+    def meter() -> Tuple[int, float]:
+        # exactly once on each side of the window: an energy read closes
+        # the open power intervals, so an extra one can move the float
+        # sum by an ulp
+        return machine.executing_ns(receiver.cores), machine.energy_joules()
+
+    until = duration_ms * MS
+    busy0, e0 = meter()
+    checkpoint = None
+    if (checkpoint_at_ns is not None
             and machine.now <= checkpoint_at_ns <= until):
         machine.run(until=checkpoint_at_ns)
-        prior = machine.snapshot(label=label)
+        checkpoint = machine.snapshot(label=label)
         if at_checkpoint is not None:
-            at_checkpoint(machine, prior)
+            at_checkpoint(machine, checkpoint)
     machine.run(until=until)
-    return prior
+    busy1, e1 = meter()
+
+    offered = port.total_arrived()  # syncs every queue
+    delivered = receiver.total_packets
+    if machine.checks is not None:
+        machine.checks.quiesce(consumed=delivered)
+    return receiver, dict(
+        duration_ns=until,
+        offered=offered,
+        delivered=delivered,
+        drops=port.total_drops(),
+        cpu_utilization=(busy1 - busy0) / until,
+        energy_j=e1 - e0,
+        machine=machine,
+        checkpoint=checkpoint,
+    )
 
 
-def _make_queue(
-    machine: Machine,
-    rate: ArrivalProcess,
-    ring_size: int,
-    sample_every: int,
-    flows: Optional[FlowSet] = None,
-) -> RxQueue:
-    return RxQueue(
-        machine.sim,
-        rate,
-        flows=flows or FlowSet(),
-        ring_size=ring_size,
-        sample_every=sample_every,
+def _metronome_builder(
+    app: Optional[PacketApp],
+    tuner: Optional[TunerBase],
+    num_threads: Optional[int],
+    cores: Optional[List[int]],
+    **group_kwargs,
+) -> Callable[[Machine, NicPort], MetronomeGroup]:
+    """A ``build`` for :func:`_run`: one group over every port queue."""
+
+    def build(machine: Machine, port: NicPort) -> MetronomeGroup:
+        cfg = machine.cfg
+        m = num_threads if num_threads is not None else cfg.num_threads
+        return MetronomeGroup(
+            machine,
+            port.queues,
+            app or default_app(),
+            # seed the adaptive controller mid-range so early cycles
+            # are sane
+            tuner=tuner or AdaptiveTuner(
+                vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=m, alpha=cfg.alpha,
+                initial_rho=0.5,
+            ),
+            num_threads=m,
+            cores=cores,
+            **group_kwargs,
+        )
+
+    return build
+
+
+def _metronome_result(
+    group: MetronomeGroup, fields: Dict[str, Any]
+) -> MetronomeRunResult:
+    """The Metronome record: common fields plus cycle/controller state."""
+    cs = group.cycle_stats()
+    return MetronomeRunResult(
+        **fields,
+        latency=group.latency,
+        mean_vacation_us=cs.mean_vacation_ns() / US if cs.count else 0.0,
+        mean_busy_us=cs.mean_busy_ns() / US if cs.count else 0.0,
+        mean_n_vacation=cs.mean_n_vacation() if cs.count else 0.0,
+        cycles=cs.count,
+        busy_tries=group.busy_tries,
+        wake_rounds=group.total_iterations,
+        rho=group.tuner.rho,
+        ts_us=group.tuner.ts_ns() / US,
+        group=group,
     )
 
 
@@ -155,16 +253,11 @@ def run_metronome(
     sleep_service: str = "hr_sleep",
     num_threads: Optional[int] = None,
     cores: Optional[List[int]] = None,
-    ring_size: Optional[int] = None,
-    tx_batch: Optional[int] = None,
     nice: int = 0,
-    flush_before_sleep: bool = False,
     setup_hook: Optional[Callable[[Machine, MetronomeGroup], None]] = None,
-    warmup_ms: int = 0,
     trace: bool = False,
     fault_plan: Optional[FaultPlan] = None,
     watchdog: Optional[WatchdogConfig] = None,
-    rotate_scan: bool = True,
     checks: bool = False,
     checkpoint_at_ns: Optional[int] = None,
     at_checkpoint: Optional[Callable[[Machine, MachineState], None]] = None,
@@ -172,116 +265,32 @@ def run_metronome(
     """Run Metronome over one shared Rx queue.
 
     ``rate`` is either a pps int (CBR traffic) or a ready
-    :class:`ArrivalProcess`.  ``setup_hook`` runs after the group starts
-    (e.g. to add interference workloads or samplers).  ``trace=True``
-    enables nanosecond event tracing (see :mod:`repro.trace`) without
-    perturbing the run; read it back via ``result.tracer``.
+    :class:`ArrivalProcess`.  ``trace=True`` enables nanosecond event
+    tracing (see :mod:`repro.trace`) without perturbing the run; read
+    it back via ``result.tracer``.  ``checks=True`` enables the
+    :mod:`repro.check` invariant monitors (zero-perturbation, like
+    tracing); read violations back via ``result.machine.checks``.
 
     ``fault_plan`` installs a :class:`~repro.faults.FaultEngine` before
     the workload is built (traffic-side faults wrap the arrival process
     in a :class:`~repro.nic.traffic.FaultableProcess`); ``watchdog``
     enables the group's starvation watchdog — together they form the
     chaos harness's adversarial setup (see :mod:`repro.faults.chaos`).
-
-    ``checks=True`` enables the :mod:`repro.check` invariant monitors
-    (zero-perturbation, like tracing) and runs their quiesce pass after
-    the run; read violations back via ``result.machine.checks``.
-
-    ``checkpoint_at_ns`` pauses the run once at that absolute virtual
-    time to take a pure :meth:`Machine.snapshot` (returned as
-    ``result.checkpoint``); ``at_checkpoint(machine, state)`` may then
-    mutate the live machine to fork a variant future off the verified
-    prefix (see :mod:`repro.sim.snapshot`).
+    ``setup_hook(machine, group)`` runs after the group starts;
+    ``checkpoint_at_ns``/``at_checkpoint`` pause the run once for a pure
+    snapshot, returned as ``result.checkpoint`` (see :func:`_run`).
     """
-    cfg = cfg or config.SimConfig()
-    machine = Machine(cfg)
-    if trace:
-        machine.enable_tracing()
-    if checks:
-        machine.enable_checks()
-    process = as_arrival_process(rate)
-    if fault_plan is not None:
-        engine = machine.install_faults(fault_plan)
-        if any(s.kind in TRAFFIC_KINDS for s in fault_plan.specs):
-            process = FaultableProcess(process)
-            engine.register_process(process)
-    queue = _make_queue(
-        machine,
-        process,
-        ring_size or cfg.rx_ring_size,
-        cfg.latency_sample_every,
+    group, fields = _run(
+        _metronome_builder(
+            app, tuner, num_threads, cores,
+            sleep_service=sleep_service, nice=nice, watchdog=watchdog,
+        ),
+        [as_arrival_process(rate)], duration_ms, cfg,
+        label="metronome", trace=trace, checks=checks,
+        fault_plan=fault_plan, setup_hook=setup_hook,
+        checkpoint_at_ns=checkpoint_at_ns, at_checkpoint=at_checkpoint,
     )
-    app = app or default_app()
-    m = num_threads if num_threads is not None else cfg.num_threads
-    # seed the adaptive controller mid-range so early cycles are sane
-    tuner = tuner or AdaptiveTuner(
-        vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=m, alpha=cfg.alpha,
-        initial_rho=0.5,
-    )
-    group = MetronomeGroup(
-        machine,
-        [queue],
-        app,
-        tuner=tuner,
-        sleep_service=sleep_service,
-        num_threads=m,
-        cores=cores,
-        nice=nice,
-        tx_batch=tx_batch,
-        flush_before_sleep=flush_before_sleep,
-        rotate_scan=rotate_scan,
-        watchdog=watchdog,
-    )
-    group.start()
-    if setup_hook is not None:
-        setup_hook(machine, group)
-    # warmup lets the controller settle before measuring
-    t_start = warmup_ms * MS
-    ckpt = None
-    if t_start:
-        ckpt = _run_with_checkpoint(
-            machine, t_start, checkpoint_at_ns, at_checkpoint, "metronome"
-        )
-
-    def exec_busy() -> int:
-        return sum(
-            machine.cores[c].total_busy_ns() - machine.cores[c].exit_stall_ns
-            for c in group.cores
-        )
-
-    busy0 = exec_busy()
-    e0 = machine.energy_joules()
-    ckpt = _run_with_checkpoint(
-        machine, t_start + duration_ms * MS, checkpoint_at_ns, at_checkpoint,
-        "metronome", prior=ckpt,
-    )
-    busy1 = exec_busy()
-
-    queue.sync()
-    if machine.checks is not None:
-        machine.checks.quiesce(consumed=group.total_packets)
-    cs = group.cycle_stats()
-    duration = duration_ms * MS
-    return MetronomeRunResult(
-        duration_ns=duration,
-        offered=queue.arrived_total,
-        delivered=group.total_packets,
-        drops=queue.drops,
-        cpu_utilization=(busy1 - busy0) / duration,
-        energy_j=machine.energy_joules() - e0,
-        latency=group.latency,
-        mean_vacation_us=cs.mean_vacation_ns() / US if cs.count else 0.0,
-        mean_busy_us=cs.mean_busy_ns() / US if cs.count else 0.0,
-        mean_n_vacation=cs.mean_n_vacation() if cs.count else 0.0,
-        cycles=cs.count,
-        busy_tries=group.busy_tries,
-        wake_rounds=group.total_iterations,
-        rho=group.tuner.rho,
-        ts_us=group.tuner.ts_ns() / US,
-        group=group,
-        machine=machine,
-        checkpoint=ckpt,
-    )
+    return _metronome_result(group, fields)
 
 
 def run_dpdk(
@@ -291,7 +300,6 @@ def run_dpdk(
     cfg: Optional[config.SimConfig] = None,
     core: int = 0,
     nice: int = 0,
-    ring_size: Optional[int] = None,
     setup_hook: Optional[Callable[[Machine, PollModeLcore], None]] = None,
     trace: bool = False,
     checks: bool = False,
@@ -299,42 +307,20 @@ def run_dpdk(
     at_checkpoint: Optional[Callable[[Machine, MachineState], None]] = None,
 ) -> DpdkRunResult:
     """Run the static continuous-polling DPDK baseline (one lcore)."""
-    cfg = cfg or config.SimConfig()
-    machine = Machine(cfg)
-    if trace:
-        machine.enable_tracing()
-    if checks:
-        machine.enable_checks()
-    process = as_arrival_process(rate)
-    queue = _make_queue(
-        machine, process, ring_size or cfg.rx_ring_size, cfg.latency_sample_every
-    )
-    app = app or default_app()
     latency = LatencyStats()
-    lcore = PollModeLcore(machine, [queue], app, core=core, nice=nice)
-    lcore.tx_buffers[0].on_tx = lambda pkt: latency.add(pkt.latency_ns)
-    lcore.start()
-    if setup_hook is not None:
-        setup_hook(machine, lcore)
-    e0 = machine.energy_joules()
-    ckpt = _run_with_checkpoint(
-        machine, duration_ms * MS, checkpoint_at_ns, at_checkpoint, "dpdk"
+
+    def build(machine: Machine, port: NicPort) -> PollModeLcore:
+        lcore = PollModeLcore(machine, port.queues, app or default_app(),
+                              core=core, nice=nice)
+        lcore.tx_buffers[0].on_tx = lambda pkt: latency.add(pkt.latency_ns)
+        return lcore
+
+    lcore, fields = _run(
+        build, [as_arrival_process(rate)], duration_ms, cfg,
+        label="dpdk", trace=trace, checks=checks, setup_hook=setup_hook,
+        checkpoint_at_ns=checkpoint_at_ns, at_checkpoint=at_checkpoint,
     )
-    queue.sync()
-    if machine.checks is not None:
-        machine.checks.quiesce(consumed=lcore.rx_packets)
-    return DpdkRunResult(
-        duration_ns=duration_ms * MS,
-        offered=queue.arrived_total,
-        delivered=lcore.rx_packets,
-        drops=queue.drops,
-        cpu_utilization=machine.cpu_utilization([core]),
-        energy_j=machine.energy_joules() - e0,
-        latency=latency,
-        lcore=lcore,
-        machine=machine,
-        checkpoint=ckpt,
-    )
+    return DpdkRunResult(**fields, latency=latency, lcore=lcore)
 
 
 def run_xdp(
@@ -344,7 +330,6 @@ def run_xdp(
     cfg: Optional[config.SimConfig] = None,
     num_queues: int = 1,
     cores: Optional[List[int]] = None,
-    ring_size: Optional[int] = None,
     prewarmed: bool = True,
     setup_hook: Optional[Callable[[Machine, "XdpDriver"], None]] = None,
     trace: bool = False,
@@ -366,12 +351,6 @@ def run_xdp(
     """
     from repro.xdp.driver import XdpDriver
 
-    cfg = cfg or config.SimConfig()
-    machine = Machine(cfg)
-    if trace:
-        machine.enable_tracing()
-    if checks:
-        machine.enable_checks()
     flows = None
     if isinstance(rate_pps, ArrivalProcess):
         if num_queues == 1:
@@ -384,43 +363,26 @@ def run_xdp(
     else:
         per_queue = int(rate_pps) // num_queues
         processes = [CbrProcess(per_queue) for _ in range(num_queues)]
-    port = NicPort(
-        machine.sim,
-        processes,
-        flows=flows,
-        ring_size=ring_size or cfg.rx_ring_size,
-        sample_every=cfg.latency_sample_every,
+
+    def build(machine: Machine, port: NicPort) -> XdpDriver:
+        xdp_app = app
+        if xdp_app is None:
+            # same functional workload, XDP-calibrated per-packet cost
+            # (page handling + eBPF program + DMA sync; see config)
+            xdp_app = default_app()
+            xdp_app.per_packet_ns = config.XDP_PKT_NS
+        driver = XdpDriver(machine, port, xdp_app, cores=cores)
+        if prewarmed:
+            for q in driver.queues:
+                q._warm_remaining = 0
+                q._last_active_ns = 0
+        return driver
+
+    driver, fields = _run(
+        build, processes, duration_ms, cfg,
+        label="xdp", flows=flows, trace=trace, checks=checks,
+        setup_hook=setup_hook,
+        checkpoint_at_ns=checkpoint_at_ns, at_checkpoint=at_checkpoint,
     )
-    if app is None:
-        # same functional workload, XDP-calibrated per-packet cost
-        # (page handling + eBPF program + DMA sync; see config)
-        app = default_app()
-        app.per_packet_ns = config.XDP_PKT_NS
-    driver = XdpDriver(machine, port, app, cores=cores)
-    if prewarmed:
-        for q in driver.queues:
-            q._warm_remaining = 0
-            q._last_active_ns = 0
-    driver.start()
-    if setup_hook is not None:
-        setup_hook(machine, driver)
-    e0 = machine.energy_joules()
-    ckpt = _run_with_checkpoint(
-        machine, duration_ms * MS, checkpoint_at_ns, at_checkpoint, "xdp"
-    )
-    if machine.checks is not None:
-        for q in driver.queues:
-            q.queue.sync()
-        machine.checks.quiesce()
-    return XdpRunResult(
-        duration_ns=duration_ms * MS,
-        offered=port.total_arrived(),
-        delivered=driver.total_packets,
-        drops=port.total_drops(),
-        cpu_utilization=driver.cpu_utilization(),
-        energy_j=machine.energy_joules() - e0,
-        latency=driver.latency,
-        irqs=driver.total_irqs,
-        machine=machine,
-        checkpoint=ckpt,
-    )
+    return XdpRunResult(**fields, latency=driver.latency,
+                        irqs=driver.total_irqs)

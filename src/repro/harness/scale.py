@@ -2,10 +2,11 @@
 
 The paper validates Metronome at 10 GbE with 2 queues and a handful of
 threads; production NICs are 100G with 16–64 RSS queues spread across
-NUMA sockets.  :func:`run_metronome_scaled` builds that machine: a
-multi-queue :class:`~repro.nic.topology.NicDevice` with per-queue NUMA
-placement, dozens of Metronome threads over the flattened queue list,
-and the cross-socket wake/memory penalties of
+NUMA sockets.  :func:`run_metronome_scaled` builds that machine through
+the shared runner pipeline: one many-queue
+:class:`~repro.nic.device.NicPort` with per-queue NUMA placement,
+dozens of Metronome threads over its queues, and the cross-socket
+wake/memory penalties of
 :mod:`repro.kernel.machine` / :mod:`repro.core.metronome` active
 whenever ``numa_nodes > 1``.
 
@@ -25,16 +26,16 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from repro import config
-from repro.core.metronome import MetronomeGroup
-from repro.core.tuning import AdaptiveTuner, TunerBase
+from repro.core.tuning import TunerBase
 from repro.dpdk.app import PacketApp
-from repro.harness.experiment import MetronomeRunResult, default_app
-from repro.kernel.machine import Machine
-from repro.nic.flows import FlowSet
-from repro.nic.rss import RssSteering
-from repro.nic.topology import NicDevice, PortSpec
+from repro.harness.experiment import (
+    MetronomeRunResult,
+    _metronome_builder,
+    _metronome_result,
+    _run,
+)
 from repro.nic.traffic import CbrProcess, gbps_to_pps
-from repro.sim.units import MS, US
+from repro.sim.units import US
 
 
 def queue_node_map(num_queues: int, numa_nodes: int) -> List[int]:
@@ -58,7 +59,7 @@ def run_metronome_scaled(
     checks: bool = False,
     seed: int = config.DEFAULT_SEED,
 ) -> MetronomeRunResult:
-    """Run Metronome over a many-queue, multi-socket 100G device.
+    """Run Metronome over a many-queue, multi-socket 100G port.
 
     The offered ``gbps`` (at ``frame_len`` serialization timing) is
     split evenly across ``num_queues`` CBR processes — the aggregate is
@@ -76,77 +77,18 @@ def run_metronome_scaled(
         cfg = config.SimConfig(
             seed=seed, num_cores=num_threads, numa_nodes=nn,
         )
-    machine = Machine(cfg)
-    if checks:
-        machine.enable_checks()
-    total_pps = gbps_to_pps(gbps, frame_len)
-    base, rem = divmod(total_pps, num_queues)
+    base, rem = divmod(gbps_to_pps(gbps, frame_len), num_queues)
     processes = [
         CbrProcess(base + (1 if i < rem else 0)) for i in range(num_queues)
     ]
-    flows = FlowSet()
-    device = NicDevice(
-        machine.sim,
-        [
-            PortSpec(
-                processes,
-                node=0,
-                queue_nodes=queue_node_map(num_queues, machine.numa_nodes),
-                flows=flows,
-                rss=RssSteering(num_queues),
-            )
-        ],
-        ring_size=cfg.rx_ring_size,
-        sample_every=cfg.latency_sample_every,
+    group, fields = _run(
+        _metronome_builder(app, tuner, num_threads, list(range(num_threads))),
+        processes, duration_ms, cfg,
+        label="metronome",
+        queue_nodes=queue_node_map(num_queues, cfg.numa_nodes),
+        checks=checks,
     )
-    tuner = tuner or AdaptiveTuner(
-        vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=num_threads,
-        alpha=cfg.alpha, initial_rho=0.5,
-    )
-    group = MetronomeGroup(
-        machine,
-        device.queues,
-        app or default_app(),
-        tuner=tuner,
-        num_threads=num_threads,
-        cores=list(range(num_threads)),
-    )
-    group.start()
-
-    def exec_busy() -> int:
-        return sum(
-            machine.cores[c].total_busy_ns() - machine.cores[c].exit_stall_ns
-            for c in group.cores
-        )
-
-    busy0 = exec_busy()
-    e0 = machine.energy_joules()
-    machine.run(until=duration_ms * MS)
-    busy1 = exec_busy()
-    offered = device.total_arrived()  # syncs every queue
-    if machine.checks is not None:
-        machine.checks.quiesce(consumed=group.total_packets)
-    cs = group.cycle_stats()
-    duration = duration_ms * MS
-    return MetronomeRunResult(
-        duration_ns=duration,
-        offered=offered,
-        delivered=group.total_packets,
-        drops=device.total_drops(),
-        cpu_utilization=(busy1 - busy0) / duration,
-        energy_j=machine.energy_joules() - e0,
-        latency=group.latency,
-        mean_vacation_us=cs.mean_vacation_ns() / US if cs.count else 0.0,
-        mean_busy_us=cs.mean_busy_ns() / US if cs.count else 0.0,
-        mean_n_vacation=cs.mean_n_vacation() if cs.count else 0.0,
-        cycles=cs.count,
-        busy_tries=group.busy_tries,
-        wake_rounds=group.total_iterations,
-        rho=group.tuner.rho,
-        ts_us=group.tuner.ts_ns() / US,
-        group=group,
-        machine=machine,
-    )
+    return _metronome_result(group, fields)
 
 
 def _vbar_err_pct(res: MetronomeRunResult, vbar_ns: int) -> float:

@@ -239,23 +239,26 @@ class Machine:
         """
         return sum(core.total_busy_ns() for core in self.cores)
 
+    def executing_ns(self, cores: Optional[List[int]] = None) -> int:
+        """Busy time of the selected cores (default: all) minus their
+        C-state exit stalls — a core waking from idle is not executing
+        instructions and getrusage/mpstat (the paper's instruments) do
+        not see that time."""
+        indexes = range(len(self.cores)) if cores is None else cores
+        return sum(
+            self.cores[i].total_busy_ns() - self.cores[i].exit_stall_ns
+            for i in indexes
+        )
+
     def cpu_utilization(self, cores: Optional[List[int]] = None) -> float:
         """Mean *executing* fraction of the selected cores since t=0.
 
         Expressed the way the paper's figures do: 100% = one fully busy
-        core, so three cores at 20% each report 60%.  C-state exit
-        stalls are excluded — a core waking from idle is not executing
-        instructions and getrusage/mpstat (the paper's instruments) do
-        not see that time.
+        core, so three cores at 20% each report 60%.
         """
         if self.sim.now == 0:
             return 0.0
-        indexes = range(len(self.cores)) if cores is None else cores
-        busy = sum(
-            self.cores[i].total_busy_ns() - self.cores[i].exit_stall_ns
-            for i in indexes
-        )
-        return busy / self.sim.now
+        return self.executing_ns(cores) / self.sim.now
 
     def energy_joules(self) -> float:
         """Cumulative package energy (RAPL analogue)."""

@@ -29,7 +29,7 @@ class CpuSampler:
         self.cores = list(range(len(machine.cores))) if cores is None else cores
         #: (window_end_ns, utilization) pairs; util in core-fractions
         self.samples: List[Tuple[int, float]] = []
-        self._last_busy = self._read_busy()
+        self._last_busy = machine.executing_ns(self.cores)
         self._last_t = machine.sim.now
         self._running = False
 
@@ -39,16 +39,9 @@ class CpuSampler:
         self._running = True
         self.machine.sim.call_after(self.period_ns, self._tick)
 
-    def _read_busy(self) -> int:
-        return sum(
-            self.machine.cores[i].total_busy_ns()
-            - self.machine.cores[i].exit_stall_ns
-            for i in self.cores
-        )
-
     def _tick(self) -> None:
         now = self.machine.sim.now
-        busy = self._read_busy()
+        busy = self.machine.executing_ns(self.cores)
         window = now - self._last_t
         if window > 0:
             self.samples.append(((now), (busy - self._last_busy) / window))

@@ -33,7 +33,6 @@ class NicPort:
         node: int = 0,
         rss: Optional["RssSteering"] = None,
         queue_nodes: Optional[List[int]] = None,
-        first_queue_index: int = 0,
     ):
         if not processes:
             raise ValueError("a port needs at least one queue")
@@ -50,9 +49,6 @@ class NicPort:
         #: optional RSS indirection (``repro.nic.rss``); queue_for()
         #: resolves a header to one of this port's queues through it
         self.rss = rss
-        #: global index of this port's first queue (a multi-port
-        #: NicDevice numbers queues contiguously across ports)
-        self.first_queue_index = first_queue_index
         self.queues: List[RxQueue] = [
             RxQueue(
                 sim,
@@ -60,7 +56,7 @@ class NicPort:
                 flows=self.flows,
                 ring_size=ring_size,
                 sample_every=sample_every,
-                index=first_queue_index + i,
+                index=i,
                 node=node if queue_nodes is None else queue_nodes[i],
             )
             for i, proc in enumerate(processes)

@@ -1,13 +1,11 @@
-"""Multi-port, multi-socket NIC topology (ROADMAP item 2).
+"""RSS trace sharding across the queues of one port.
 
 The paper's testbed is one port with 2 RSS queues on one NUMA node
-(§3.3); production 100G deployments spread 16–64 queues across sockets.
-This module generalizes the NIC layer without touching the single-port
-fast path:
+(§3.3); production 100G deployments spread 16–64 queues across sockets
+(per-queue placement is :class:`~repro.nic.device.NicPort`'s
+``queue_nodes``).  This module splits a replayed trace across those
+queues:
 
-* :class:`PortSpec` / :class:`NicDevice` — a device aggregating several
-  :class:`~repro.nic.device.NicPort` objects with globally contiguous
-  queue numbering and per-queue NUMA placement;
 * :func:`rss_shard` — partition one replayed trace across N queues via
   the real Toeplitz redirection table, lifting ``run_xdp``'s
   single-queue restriction for stateful arrival processes;
@@ -16,98 +14,18 @@ fast path:
   cycle, so the shards stay mutually aligned forever.
 
 Everything here is pure construction-time arithmetic: no simulator
-events, no RNG draws, so building a topology never perturbs a run.
+events, no RNG draws, so sharding a trace never perturbs a run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
-from repro import config
-from repro.nic.device import NicPort
 from repro.nic.flows import FlowSet
 from repro.nic.rss import MICROSOFT_KEY, RssSteering
-from repro.nic.rxqueue import RxQueue
 from repro.nic.traffic import ArrivalProcess
-from repro.sim.core import Simulator
 from repro.sim.units import SEC
-
-
-@dataclass
-class PortSpec:
-    """Recipe for one port of a :class:`NicDevice`.
-
-    ``queue_nodes`` places individual queues on NUMA nodes (default:
-    every queue on the port's ``node``).  ``rss`` attaches a steering
-    function; ``flows`` shares a flow population with other ports
-    (needed when a sharded trace and the tagger must agree on headers).
-    """
-
-    processes: List[ArrivalProcess]
-    node: int = 0
-    queue_nodes: Optional[List[int]] = None
-    flows: Optional[FlowSet] = None
-    rss: Optional[RssSteering] = None
-
-
-@dataclass
-class NicDevice:
-    """Several ports, queues numbered contiguously across all of them.
-
-    The flattened :attr:`queues` list is what a
-    :class:`~repro.core.metronome.MetronomeGroup` consumes — a group
-    draining a whole device is exactly the many-queue scale-out
-    configuration the scale figures measure.
-    """
-
-    sim: Simulator
-    specs: Sequence[PortSpec]
-    ring_size: int = config.DEFAULT_RX_RING
-    sample_every: int = config.LATENCY_SAMPLE_EVERY
-    ports: List[NicPort] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.specs:
-            raise ValueError("a device needs at least one port")
-        self.ports = []
-        first = 0
-        for spec in self.specs:
-            port = NicPort(
-                self.sim,
-                spec.processes,
-                flows=spec.flows,
-                ring_size=self.ring_size,
-                sample_every=self.sample_every,
-                node=spec.node,
-                rss=spec.rss,
-                queue_nodes=spec.queue_nodes,
-                first_queue_index=first,
-            )
-            self.ports.append(port)
-            first += len(port.queues)
-
-    @property
-    def queues(self) -> List[RxQueue]:
-        """All queues of all ports, in global index order."""
-        return [q for port in self.ports for q in port.queues]
-
-    @property
-    def num_queues(self) -> int:
-        return sum(len(port.queues) for port in self.ports)
-
-    def total_drops(self) -> int:
-        return sum(port.total_drops() for port in self.ports)
-
-    def total_arrived(self) -> int:
-        return sum(port.total_arrived() for port in self.ports)
-
-    def loss_fraction(self) -> float:
-        arrived = self.total_arrived()
-        if arrived == 0:
-            return 0.0
-        return self.total_drops() / arrived
 
 
 class ReplayShard(ArrivalProcess):

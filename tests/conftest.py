@@ -80,6 +80,23 @@ def poisson(rate, seed=17, name="arrivals") -> PoissonProcess:
     return PoissonProcess(rate, RandomStreams(seed).numpy_stream(name))
 
 
+def rng_states(machine):
+    """Final state of every Python and numpy stream of ``machine``: one
+    extra draw anywhere makes two runs' states differ."""
+    streams = machine.streams
+    py = {name: s.getstate() for name, s in streams._streams.items()}
+    np_ = {name: g.bit_generator.state
+           for name, g in streams._np_streams.items()}
+    return py, np_
+
+
+def run_fingerprint(res):
+    """Everything a runner result reports, latency samples and final
+    RNG states included: equal fingerprints mean bit-identical runs."""
+    return (res.offered, res.delivered, res.drops, res.cpu_utilization,
+            res.energy_j, res.latency.samples(), rng_states(res.machine))
+
+
 def build_group(machine, rate=1_000_000, m=3, **kwargs):
     """One CBR-fed RxQueue plus a started MetronomeGroup of ``m``
     threads — the standard small deployment used across test modules."""

@@ -31,6 +31,12 @@ def test_quickstart_runs(capsys):
     assert "T_S us" in out
 
 
+def test_run_pacing_renders_every_column(capsys):
+    assert main(["run", "pacing", "--fast"]) == 0
+    out = capsys.readouterr().out
+    assert "gap compliance" in out
+
+
 def test_run_small_experiment(capsys):
     # fig7 is one of the cheapest full scenarios
     assert main(["run", "fig7", "--fast", "--seed", "3"]) == 0

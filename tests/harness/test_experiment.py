@@ -32,13 +32,6 @@ def test_run_metronome_accepts_process():
     assert res.delivered > 0
 
 
-def test_run_metronome_warmup_excluded():
-    res = run_metronome(1_000_000, duration_ms=10, warmup_ms=5,
-                        cfg=quiet_cfg())
-    assert res.duration_ns == 10 * 1_000_000
-    assert res.machine.now == 15 * 1_000_000
-
-
 def test_run_dpdk_pins_core():
     res = run_dpdk(2_000_000, duration_ms=15, cfg=quiet_cfg())
     assert res.cpu_utilization > 0.99

@@ -1,4 +1,4 @@
-"""Multi-port NicDevice, per-queue placement, and RSS trace sharding."""
+"""NicPort per-queue placement and steering, and RSS trace sharding."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.harness.experiment import run_xdp
 from repro.nic.device import NicPort
 from repro.nic.flows import FlowSet
 from repro.nic.rss import RssSteering
-from repro.nic.topology import NicDevice, PortSpec, rss_shard
+from repro.nic.topology import rss_shard
 from repro.nic.traffic import CbrProcess
 from repro.sim.core import Simulator
 from repro.sim.units import MS
@@ -19,37 +19,32 @@ def make_trace(duration_ms=10, seed=config.DEFAULT_SEED):
 
 
 # --------------------------------------------------------------------- #
-# NicDevice / PortSpec
+# NicPort placement and steering
 # --------------------------------------------------------------------- #
 
 
 def test_device_numbers_queues_contiguously_across_ports():
+    # one NicPort is the whole device: its queues are numbered 0..n-1
+    # and inherit the port's node unless queue_nodes overrides
     sim = Simulator()
-    device = NicDevice(sim, [
-        PortSpec([CbrProcess(0) for _ in range(3)], node=0),
-        PortSpec([CbrProcess(0) for _ in range(2)], node=1),
-    ])
-    assert device.num_queues == 5
-    assert [q.index for q in device.queues] == [0, 1, 2, 3, 4]
-    assert device.ports[1].first_queue_index == 3
-    # queues inherit their port's node unless queue_nodes overrides
-    assert [q.node for q in device.queues] == [0, 0, 0, 1, 1]
+    port = NicPort(sim, [CbrProcess(0) for _ in range(5)], node=1)
+    assert [q.index for q in port.queues] == [0, 1, 2, 3, 4]
+    assert [q.node for q in port.queues] == [1, 1, 1, 1, 1]
 
 
 def test_per_queue_node_overrides():
     sim = Simulator()
-    device = NicDevice(sim, [
-        PortSpec([CbrProcess(0) for _ in range(4)], node=0,
-                 queue_nodes=[0, 0, 1, 1]),
-    ])
-    assert [q.node for q in device.queues] == [0, 0, 1, 1]
+    port = NicPort(sim, [CbrProcess(0) for _ in range(4)],
+                   queue_nodes=[0, 0, 1, 1])
+    assert [q.node for q in port.queues] == [0, 0, 1, 1]
     with pytest.raises(ValueError, match="queue_nodes"):
         NicPort(sim, [CbrProcess(0)], queue_nodes=[0, 1])
 
 
 def test_device_requires_ports():
-    with pytest.raises(ValueError, match="at least one port"):
-        NicDevice(Simulator(), [])
+    # the port is the device, so an empty one has no queues to serve
+    with pytest.raises(ValueError, match="at least one queue"):
+        NicPort(Simulator(), [])
 
 
 def test_port_queue_for_follows_rss_table():

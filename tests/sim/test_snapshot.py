@@ -26,6 +26,8 @@ from repro.harness.experiment import run_dpdk, run_metronome, run_xdp
 from repro.sim.snapshot import MachineState, SnapshotMismatch, capture, restore
 from repro.sim.units import MS
 
+from tests.conftest import run_fingerprint
+
 # the one build recipe shared by every restore test — exec'd both here
 # and inside the fresh subprocess, so the two sides cannot drift apart
 RECIPE = textwrap.dedent("""
@@ -55,11 +57,6 @@ def build_machine():
     ns: dict = {}
     exec(RECIPE, ns)
     return ns["machine"]
-
-
-def run_fingerprint(r):
-    return (r.offered, r.delivered, r.drops, r.cpu_utilization,
-            r.energy_j, r.latency.percentile(99))
 
 
 def test_capture_is_pure():
@@ -180,7 +177,7 @@ def test_runner_checkpoint_is_pure(runner):
 
     ckpt = runner(checkpoint_at_ns=2 * MS, at_checkpoint=hook)
     assert run_fingerprint(plain) == run_fingerprint(ckpt)
-    assert ckpt.checkpoint is not None
+    assert ckpt.checkpoint.t == 2 * MS
     assert seen["t"] == 2 * MS
     assert seen["digest"] == ckpt.checkpoint.digest()
     assert plain.checkpoint is None
