@@ -1,4 +1,4 @@
-"""Event-core and NIC-ring performance microbenchmarks.
+"""Event-core, checkpoint and lint performance microbenchmarks.
 
 Thin wrapper over :mod:`repro.bench.perf` (the same suite ``repro
 bench`` runs) so perf numbers are archived next to the figure tables.
@@ -17,7 +17,7 @@ from repro.campaign.artifacts import atomic_write_text
 
 def test_perf_suite(benchmark):
     result = benchmark.pedantic(
-        lambda: run_benches(quick=True, skip_figures=True),
+        lambda: run_benches(quick=True),
         rounds=1, iterations=1,
     )
     atomic_write_text(

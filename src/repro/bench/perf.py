@@ -1,4 +1,4 @@
-"""Microbenchmarks for the event core, the NIC ring, and whole figures.
+"""Microbenchmarks for the event core, checkpoints and the lint.
 
 The suite emits ``BENCH_perf.json`` (see ``docs/PERF.md`` for the
 schema) and can gate CI against a committed baseline.  Two kinds of
@@ -9,8 +9,11 @@ numbers are reported:
   (:class:`~repro.sim.reference.HeapSimulator`) *on the same machine, in
   the same process*.  Ratios cancel out host speed, so they are the
   numbers CI gates on.
-* **absolutes** (events/sec, packets/sec, per-figure wall seconds) —
+* **absolutes** (events/sec, checkpoint and lint milliseconds) —
   machine-dependent, recorded for the PR-over-PR trajectory only.
+
+Receiver throughput, set-up cost and per-layer host time are measured
+by the repository benchmark under ``perfbench/`` instead.
 
 The churn workload is the simulator-level shape of a Metronome
 deployment: a steady tick of near-future work (sleep expiries) plus a
@@ -37,9 +40,6 @@ RATIO_TOLERANCE = 0.8
 CHURN_SPEEDUP_FLOOR = 3.0
 #: softer floor for the short quick-mode run (more variance)
 CHURN_SPEEDUP_FLOOR_QUICK = 2.0
-
-#: representative figures timed wall-clock (cheap, mid, multi-queue XDP)
-BENCH_FIGURES = ("fig7", "fig9", "fig12")
 
 
 # --------------------------------------------------------------------- #
@@ -146,99 +146,6 @@ def bench_event_fire(quick: bool) -> Dict[str, float]:
 
 
 # --------------------------------------------------------------------- #
-# NIC ring throughput
-# --------------------------------------------------------------------- #
-
-
-def bench_nic_ring(quick: bool) -> Dict[str, float]:
-    """Packets/sec drained through one Rx ring by a poll loop.
-
-    CBR at 10 Mpps simulated; the wall-clock cost per packet is the
-    queue's lazy arrival accounting plus the burst drain.
-    """
-    from repro.nic.rxqueue import RxQueue
-    from repro.nic.traffic import CbrProcess
-    from repro.sim.core import Simulator
-
-    target = 2_000_000 if quick else 8_000_000
-    sim = Simulator()
-    queue = RxQueue(sim, CbrProcess(10_000_000), sample_every=64)
-    state = {"drained": 0}
-
-    def poll() -> None:
-        got, _tagged = queue.rx_burst(32)
-        state["drained"] += got
-        if state["drained"] < target:
-            sim.call_after(3_000, poll)
-
-    sim.call_after(3_000, poll)
-    t0 = time.perf_counter()
-    sim.run()
-    dt = time.perf_counter() - t0
-    return {
-        "packets": state["drained"],
-        "packets_per_sec": round(state["drained"] / dt, 1),
-    }
-
-
-# --------------------------------------------------------------------- #
-# trace replay throughput
-# --------------------------------------------------------------------- #
-
-
-def bench_trace_replay(quick: bool) -> Dict[str, float]:
-    """Replayed packets/sec through one Rx ring, vs a Poisson baseline.
-
-    Measures the cost of trace-driven arrival counting (bisect over a
-    materialized schedule) against the same poll loop fed by a
-    :class:`~repro.nic.traffic.PoissonProcess` at the matched mean
-    rate.  Trajectory data only — never gated: the ratio depends on
-    trace density, not on a code-quality invariant.
-    """
-    from repro.nic.rxqueue import RxQueue
-    from repro.nic.traffic import PoissonProcess
-    from repro.sim.core import Simulator
-    from repro.sim.rng import RandomStreams
-    from repro.sim.units import MS
-    from repro.traffic import TraceReplayProcess, benign_phased, generate
-
-    trace = generate(benign_phased((20 if quick else 60) * MS), seed=2020)
-
-    def drain(process) -> Dict[str, float]:
-        sim = Simulator()
-        queue = RxQueue(sim, process, sample_every=64)
-        state = {"drained": 0}
-        horizon = trace.duration_ns
-
-        def poll() -> None:
-            got, _tagged = queue.rx_burst(32)
-            state["drained"] += got
-            if sim.now < horizon:
-                sim.call_after(3_000, poll)
-
-        sim.call_after(3_000, poll)
-        t0 = time.perf_counter()
-        sim.run()
-        dt = time.perf_counter() - t0
-        return {"packets": state["drained"],
-                "packets_per_sec": round(state["drained"] / dt, 1)}
-
-    replay = drain(TraceReplayProcess(trace, loop=True))
-    rate = max(1, int(trace.mean_rate_pps()))
-    poisson = drain(
-        PoissonProcess(rate, RandomStreams(2020).numpy_stream("bench.replay"))
-    )
-    return {
-        "trace_packets": trace.packet_count,
-        "replayed": replay,
-        "poisson": poisson,
-        "vs_poisson": round(
-            replay["packets_per_sec"] / poisson["packets_per_sec"], 3
-        ),
-    }
-
-
-# --------------------------------------------------------------------- #
 # checkpoint overhead
 # --------------------------------------------------------------------- #
 
@@ -307,41 +214,6 @@ def bench_checkpoint(quick: bool) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------- #
-# many-queue scale-out cost
-# --------------------------------------------------------------------- #
-
-
-def bench_scale(quick: bool) -> Dict[str, float]:
-    """Wall-clock cost of the 64-queue / 32-thread 100G machine.
-
-    The ISSUE-9 scale-out configuration: one port, 64 RSS queues on 2
-    NUMA nodes, 32 Metronome threads.  Reports simulator events/sec and
-    packets/sec at that scale so the cost of the many-queue machine is
-    visible PR-over-PR.  Never gated: the absolute rates are
-    machine-dependent trajectory data.
-    """
-    from repro.harness.scale import run_metronome_scaled
-
-    duration_ms = 2 if quick else 6
-    t0 = time.perf_counter()
-    res = run_metronome_scaled(64, 32, gbps=100.0,
-                               duration_ms=duration_ms, numa_nodes=2,
-                               seed=2020)
-    wall = time.perf_counter() - t0
-    events = res.machine.sim.events_scheduled
-    return {
-        "num_queues": 64,
-        "num_threads": 32,
-        "duration_ms": duration_ms,
-        "events": events,
-        "events_per_sec": round(events / wall, 1),
-        "packets": res.delivered,
-        "loss_pct": round(res.loss_fraction * 100, 3),
-        "wall_s": round(wall, 3),
-    }
-
-
-# --------------------------------------------------------------------- #
 # whole-tree lint cost
 # --------------------------------------------------------------------- #
 
@@ -396,32 +268,11 @@ def bench_lint(quick: bool) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------- #
-# whole-figure wall clock
-# --------------------------------------------------------------------- #
-
-
-def bench_figures(quick: bool) -> Dict[str, Dict[str, float]]:
-    from repro.campaign import run_figure
-
-    scale = 0.25 if quick else 0.5
-    out: Dict[str, Dict[str, float]] = {}
-    for name in BENCH_FIGURES:
-        t0 = time.perf_counter()
-        run_figure(name, scale=scale, seed=2020)
-        out[name] = {
-            "scale": scale,
-            "wall_s": round(time.perf_counter() - t0, 3),
-        }
-    return out
-
-
-# --------------------------------------------------------------------- #
 # suite driver + baseline gate
 # --------------------------------------------------------------------- #
 
 
 def run_benches(quick: bool = False,
-                skip_figures: bool = False,
                 progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the full suite and return the ``BENCH_perf.json`` payload."""
     say = progress or (lambda _msg: None)
@@ -431,44 +282,26 @@ def run_benches(quick: bool = False,
     say("event fire (pure schedule->fire chain)...")
     fire = bench_event_fire(quick)
     say(f"  {fire['events_per_sec']:,.0f} ev/s, speedup {fire['speedup']:.2f}x")
-    say("nic ring (poll-mode burst drain)...")
-    nic = bench_nic_ring(quick)
-    say(f"  {nic['packets_per_sec']:,.0f} pkt/s")
-    say("trace replay (trace-driven drain vs poisson baseline)...")
-    replay = bench_trace_replay(quick)
-    say(f"  {replay['replayed']['packets_per_sec']:,.0f} pkt/s "
-        f"({replay['vs_poisson']:.2f}x of poisson)")
     say("checkpoint (snapshot capture / round-trip / verify)...")
     checkpoint = bench_checkpoint(quick)
     say(f"  capture {checkpoint['capture_ms']:.1f} ms, "
         f"{checkpoint['state_kb']:.0f} KB, "
         f"verify {checkpoint['verify_ms']:.1f} ms")
-    say("scale (64 queues / 32 threads at 100G)...")
-    scale = bench_scale(quick)
-    say(f"  {scale['events_per_sec']:,.0f} ev/s, "
-        f"wall {scale['wall_s']:.1f} s")
     say("lint (whole-tree interprocedural, cold vs cached)...")
     lint = bench_lint(quick)
     say(f"  cold {lint['cold_s']:.2f} s, warm {lint['warm_s']:.2f} s "
         f"({lint['warm_over_cold']:.2f}x)")
-    benches: Dict[str, object] = {
-        "event_churn": churn,
-        "event_fire": fire,
-        "nic_ring": nic,
-        "trace_replay": replay,
-        "checkpoint": checkpoint,
-        "scale": scale,
-        "lint": lint,
-    }
-    if not skip_figures:
-        say(f"figures {', '.join(BENCH_FIGURES)} wall-clock...")
-        benches["figures"] = bench_figures(quick)
     return {
         "schema": SCHEMA_VERSION,
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
         "unix_time": round(time.time(), 1),
-        "benches": benches,
+        "benches": {
+            "event_churn": churn,
+            "event_fire": fire,
+            "checkpoint": checkpoint,
+            "lint": lint,
+        },
     }
 
 
@@ -483,7 +316,7 @@ def check_result(result: Dict, baseline: Optional[Dict] = None) -> List[str]:
     Only machine-independent ratios are gated: the churn speedup has a
     hard floor (the PR's headline claim) and both speedups must stay
     within ``RATIO_TOLERANCE`` of the committed baseline.  Absolute
-    events/sec and packets/sec are trajectory data, never gated.
+    events/sec and milliseconds are trajectory data, never gated.
     """
     failures: List[str] = []
     benches = result["benches"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import config
-from repro.sim.units import MS, US
+from repro.sim.units import US
 
 
 def _metronome(seed: int, duration_ms: int, **kwargs):
@@ -76,28 +76,21 @@ def _watchdog(seed: int, duration_ms: int):
 def _two_queues(seed: int, duration_ms: int):
     """Two shared Rx queues, three threads: per-queue locks and
     conservation across a multi-queue scan."""
-    from repro.core.metronome import MetronomeGroup
-    from repro.harness.experiment import default_app
-    from repro.kernel.machine import Machine
-    from repro.nic.rxqueue import RxQueue
+    from repro.core.tuning import AdaptiveTuner
+    from repro.harness.experiment import _metronome_builder, _run
     from repro.nic.traffic import CbrProcess
 
     cfg = config.SimConfig(seed=seed, os_noise=False)
-    machine = Machine(cfg)
-    machine.enable_checks()
-    queues = [
-        RxQueue(machine.sim, CbrProcess(rate),
-                ring_size=cfg.rx_ring_size,
-                sample_every=cfg.latency_sample_every, index=i)
-        for i, rate in enumerate((2_000_000, 4_000_000))
-    ]
-    group = MetronomeGroup(machine, queues, default_app(), num_threads=3)
-    group.start()
-    machine.run(until=duration_ms * MS)
-    for q in queues:
-        q.sync()
-    machine.checks.quiesce(consumed=group.total_packets)
-    return machine.checks
+    # the group's own default controller (rho seeded at 0), not the
+    # runners' mid-range seed
+    tuner = AdaptiveTuner(vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=3,
+                          alpha=cfg.alpha)
+    _group, fields = _run(
+        _metronome_builder(app=None, tuner=tuner, num_threads=3, cores=None),
+        [CbrProcess(2_000_000), CbrProcess(4_000_000)], duration_ms, cfg,
+        label="two-queues", checks=True,
+    )
+    return fields["machine"].checks
 
 
 def _dpdk_baseline(seed: int, duration_ms: int):

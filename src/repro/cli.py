@@ -354,8 +354,15 @@ def _chaos_checkpoint_cmd(args, plans, seeds) -> int:
     way to inspect the moment a fault lands.
     """
     from repro.faults import run_chaos
-    from repro.sim.units import US
+    from repro.sim.units import MS, US
 
+    for plan in plans:
+        if plan.first_fault_start_ns() - US > args.duration_ms * MS:
+            print(f"plan {plan.name!r} opens its first fault at "
+                  f"{plan.first_fault_start_ns() / MS:.3f} ms, past "
+                  f"--duration-ms {args.duration_ms}: there is no healthy "
+                  "prefix to checkpoint inside the run")
+            return 2
     rows = []
     bad = 0
     for plan in plans:
@@ -447,9 +454,7 @@ def _bench_cmd(args) -> int:
 
     from repro.bench import check_result, load_baseline, run_benches
 
-    result = run_benches(
-        quick=args.quick, skip_figures=args.skip_figures, progress=print
-    )
+    result = run_benches(quick=args.quick, progress=print)
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -881,8 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--check", default=None, metavar="BASELINE",
                     help="gate against a committed baseline JSON; exit 1 "
                          "on >20% speedup regression or a floor miss")
-    be.add_argument("--skip-figures", action="store_true",
-                    help="skip the whole-figure wall-clock timings")
     qs = [p for p in sub.choices.values()]
     for p in qs:
         if p.prog.endswith("quickstart"):

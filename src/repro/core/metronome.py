@@ -85,7 +85,7 @@ class MetronomeThreadStats:
 class _SharedQueue:
     """Everything M threads share about one Rx queue."""
 
-    def __init__(self, machine: Machine, queue: RxQueue, tx_batch: int):
+    def __init__(self, machine: Machine, queue: RxQueue):
         self.queue = queue
         #: NUMA node the queue's ring/mbuf memory lives on; threads on a
         #: different socket pay remote-access surcharges when draining
@@ -94,7 +94,8 @@ class _SharedQueue:
                             checks=machine.checks)
         self.tracker = QueueCycleTracker(start_ns=machine.sim.now)
         self.cycles = CycleStats()
-        self.txbuf = TxBuffer(machine.sim, batch_threshold=tx_batch)
+        self.txbuf = TxBuffer(machine.sim,
+                              batch_threshold=machine.cfg.tx_batch)
         tracer = machine.tracer
         if tracer.enabled:
             self.txbuf.on_flush = (
@@ -115,8 +116,6 @@ class MetronomeGroup:
         num_threads: Optional[int] = None,
         cores: Optional[List[int]] = None,
         nice: int = 0,
-        burst: Optional[int] = None,
-        tx_batch: Optional[int] = None,
         iterations: Optional[int] = None,
         flush_before_sleep: bool = False,
         name: str = "metronome",
@@ -135,16 +134,15 @@ class MetronomeGroup:
         if len(self.cores) != self.m:
             raise ValueError("one core assignment per thread required")
         self.nice = nice
-        self.burst = burst if burst is not None else cfg.rx_burst
+        self.burst = cfg.rx_burst
         self.iterations = iterations
         self.flush_before_sleep = flush_before_sleep
         self.name = name
         self.tuner: TunerBase = tuner or AdaptiveTuner(
             vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=self.m, alpha=cfg.alpha
         )
-        tx_batch = tx_batch if tx_batch is not None else cfg.tx_batch
         self.shared: List[_SharedQueue] = [
-            _SharedQueue(machine, q, tx_batch) for q in queues
+            _SharedQueue(machine, q) for q in queues
         ]
         self.latency = LatencyStats()
         for sq in self.shared:

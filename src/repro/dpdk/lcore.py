@@ -20,6 +20,7 @@ from repro import config
 from repro.dpdk.app import PacketApp
 from repro.kernel.machine import Machine
 from repro.kernel.thread import BusySpin, Compute, KThread
+from repro.metrics.latency import LatencyStats
 from repro.nic.rxqueue import RxQueue
 from repro.nic.txqueue import TxBuffer
 from repro.sim.units import MS, US
@@ -31,7 +32,12 @@ IDLE_SPIN_NS = 10 * MS
 
 
 class PollModeLcore:
-    """One statically polling DPDK thread bound to a set of Rx queues."""
+    """One statically polling DPDK thread bound to a set of Rx queues.
+
+    Burst size and Tx batch come from the machine's ``SimConfig``
+    (``rx_burst``, ``tx_batch``); every tagged packet's latency lands
+    in :attr:`latency`.
+    """
 
     def __init__(
         self,
@@ -39,7 +45,6 @@ class PollModeLcore:
         queues: List[RxQueue],
         app: PacketApp,
         tx_buffers: Optional[List[TxBuffer]] = None,
-        burst: int = config.RX_BURST,
         core: int = 0,
         nice: int = 0,
         name: str = "dpdk-lcore",
@@ -50,12 +55,16 @@ class PollModeLcore:
         self.machine = machine
         self.queues = queues
         self.app = app
-        self.burst = burst
+        self.burst = machine.cfg.rx_burst
         self.tx_buffers = tx_buffers or [
-            TxBuffer(machine.sim) for _ in queues
+            TxBuffer(machine.sim, batch_threshold=machine.cfg.tx_batch)
+            for _ in queues
         ]
         if len(self.tx_buffers) != len(queues):
             raise ValueError("one Tx buffer per queue required")
+        self.latency = LatencyStats()
+        for txbuf in self.tx_buffers:
+            txbuf.on_tx = lambda pkt: self.latency.add(pkt.latency_ns)
         self.core = core
         self.nice = nice
         self.name = name

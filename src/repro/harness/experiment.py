@@ -3,12 +3,12 @@
 Every runner goes through one pipeline, :func:`_run`: it builds a fresh
 :class:`~repro.kernel.machine.Machine`, arms the instruments, puts the
 traffic on one :class:`~repro.nic.device.NicPort`, starts the receiver
-the runner builds on that port (a Metronome group, a DPDK lcore or an
-XDP driver), runs for a simulated duration, and measures every receiver
-the same way.  Each result record carries the metrics the paper
-reports: loss, CPU utilization (100% = one core), latency distribution,
-throughput, and — for Metronome — renewal-cycle statistics and
-controller state.
+the runner builds on that port (a Metronome group, a DPDK lcore, an XDP
+driver, or several of them as one :class:`Receivers`), runs for a
+simulated duration, and measures every receiver the same way.  Each
+result record carries the metrics the paper reports: loss, CPU
+utilization (100% = one core), latency distribution, throughput, and —
+for Metronome — renewal-cycle statistics and controller state.
 """
 
 from __future__ import annotations
@@ -99,6 +99,26 @@ class XdpRunResult(BaseRunResult):
     irqs: int = 0
 
 
+class Receivers:
+    """Several receivers that :func:`_run` starts and measures as one
+    (e.g. one Metronome group or one DPDK lcore per queue)."""
+
+    def __init__(self, receivers: List[Any]):
+        self.receivers = receivers
+
+    def start(self) -> None:
+        for receiver in self.receivers:
+            receiver.start()
+
+    @property
+    def cores(self) -> List[int]:
+        return [core for r in self.receivers for core in r.cores]
+
+    @property
+    def total_packets(self) -> int:
+        return sum(r.total_packets for r in self.receivers)
+
+
 def _run(
     build: Callable[[Machine, NicPort], Any],
     processes: List[ArrivalProcess],
@@ -127,8 +147,9 @@ def _run(
 
     The measurement window is ``[0, duration_ms)``: CPU is the
     receiver cores' executing time over the window (100% = one core),
-    energy the package energy over it.  ``checkpoint_at_ns`` pauses the
-    window once for a pure :meth:`Machine.snapshot`;
+    energy the package energy over it.  ``checkpoint_at_ns``, which must
+    lie inside the window, pauses it once for a pure
+    :meth:`Machine.snapshot`;
     ``at_checkpoint(machine, state)`` may then mutate the live machine
     to fork a variant future off the verified prefix (see
     :mod:`repro.sim.snapshot`).
@@ -136,6 +157,12 @@ def _run(
     Returns the receiver and the :class:`BaseRunResult` fields every
     runner shares, minus ``latency`` (each receiver records its own).
     """
+    until = duration_ms * MS
+    if checkpoint_at_ns is not None and not 0 <= checkpoint_at_ns <= until:
+        raise ValueError(
+            f"checkpoint_at_ns {checkpoint_at_ns} lies outside the "
+            f"measurement window [0, {until}] ns"
+        )
     machine = Machine(cfg or config.SimConfig())
     if trace:
         machine.enable_tracing()
@@ -166,11 +193,9 @@ def _run(
         # sum by an ulp
         return machine.executing_ns(receiver.cores), machine.energy_joules()
 
-    until = duration_ms * MS
     busy0, e0 = meter()
     checkpoint = None
-    if (checkpoint_at_ns is not None
-            and machine.now <= checkpoint_at_ns <= until):
+    if checkpoint_at_ns is not None:
         machine.run(until=checkpoint_at_ns)
         checkpoint = machine.snapshot(label=label)
         if at_checkpoint is not None:
@@ -307,20 +332,15 @@ def run_dpdk(
     at_checkpoint: Optional[Callable[[Machine, MachineState], None]] = None,
 ) -> DpdkRunResult:
     """Run the static continuous-polling DPDK baseline (one lcore)."""
-    latency = LatencyStats()
-
-    def build(machine: Machine, port: NicPort) -> PollModeLcore:
-        lcore = PollModeLcore(machine, port.queues, app or default_app(),
-                              core=core, nice=nice)
-        lcore.tx_buffers[0].on_tx = lambda pkt: latency.add(pkt.latency_ns)
-        return lcore
-
     lcore, fields = _run(
-        build, [as_arrival_process(rate)], duration_ms, cfg,
+        lambda machine, port: PollModeLcore(
+            machine, port.queues, app or default_app(), core=core, nice=nice
+        ),
+        [as_arrival_process(rate)], duration_ms, cfg,
         label="dpdk", trace=trace, checks=checks, setup_hook=setup_hook,
         checkpoint_at_ns=checkpoint_at_ns, at_checkpoint=at_checkpoint,
     )
-    return DpdkRunResult(**fields, latency=latency, lcore=lcore)
+    return DpdkRunResult(**fields, latency=lcore.latency, lcore=lcore)
 
 
 def run_xdp(

@@ -15,9 +15,15 @@ from repro import config
 from repro.core.metronome import MetronomeGroup
 from repro.core.tuning import AdaptiveTuner, FixedTuner
 from repro.dpdk.lcore import PollModeLcore
-from repro.harness.experiment import default_app, run_metronome
+from repro.harness.experiment import (
+    Receivers,
+    _run,
+    default_app,
+    run_dpdk,
+    run_metronome,
+)
 from repro.kernel.machine import Machine
-from repro.nic.rxqueue import RxQueue
+from repro.nic.device import NicPort
 from repro.nic.traffic import CbrProcess, gbps_to_pps, triangle_ramp
 from repro.sim.units import MS, SEC, US
 
@@ -82,6 +88,27 @@ class BidirResult:
     dpdk_cpu: float
 
 
+def _group_per_queue(threads: int, name: str):
+    """A ``build`` for :func:`_run`: one Metronome group of ``threads``
+    threads per port queue, on its own block of cores."""
+
+    def build(machine: Machine, port: NicPort) -> Receivers:
+        cfg = machine.cfg
+        return Receivers([
+            MetronomeGroup(
+                machine, [queue], default_app(),
+                tuner=AdaptiveTuner(vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns,
+                                    m=threads, initial_rho=0.5),
+                num_threads=threads,
+                cores=list(range(i * threads, (i + 1) * threads)),
+                name=f"{name}{i}",
+            )
+            for i, queue in enumerate(port.queues)
+        ])
+
+    return build
+
+
 def bidirectional_throughput(
     rate_pps: int = config.BIDIR_RATE_PPS,
     duration_ms: int = 60,
@@ -90,60 +117,28 @@ def bidirectional_throughput(
     """Two ports at the paper's bidirectional ceiling (11.61 Mpps each):
     Metronome with 3 threads per Rx queue matches the two dedicated
     polling lcores."""
-    # Metronome: 3 threads per queue, 6 cores
-    cfg = config.SimConfig(seed=seed, num_cores=8)
-    machine = Machine(cfg)
-    queues = [
-        RxQueue(machine.sim, CbrProcess(rate_pps), sample_every=256, index=i)
-        for i in range(2)
-    ]
-    groups = []
-    for i, queue in enumerate(queues):
-        tuner = AdaptiveTuner(vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=3,
-                              initial_rho=0.5)
-        group = MetronomeGroup(machine, [queue], default_app(), tuner=tuner,
-                               num_threads=3, cores=[3 * i, 3 * i + 1,
-                                                     3 * i + 2],
-                               name=f"met-p{i}")
-        group.start()
-        groups.append(group)
-    machine.run(until=duration_ms * MS)
-    for q in queues:
-        q.sync()
-    met_rx = sum(g.total_packets for g in groups)
-    met_offered = sum(q.arrived_total for q in queues)
-    met_drops = sum(q.drops for q in queues)
-    met = BidirResult(
-        metronome_mpps_per_port=met_rx / 2 / (duration_ms * MS / SEC) / 1e6,
-        metronome_loss_pct=100 * met_drops / max(1, met_offered),
-        metronome_cpu=machine.cpu_utilization(list(range(6))),
-        dpdk_mpps_per_port=0.0, dpdk_loss_pct=0.0, dpdk_cpu=0.0,
-    )
 
+    def arm(build, num_cores: int):
+        _receivers, fields = _run(
+            build, [CbrProcess(rate_pps) for _ in range(2)], duration_ms,
+            config.SimConfig(seed=seed, num_cores=num_cores),
+            label="bidir",
+        )
+        return (
+            fields["delivered"] / 2 / (duration_ms * MS / SEC) / 1e6,
+            100 * fields["drops"] / max(1, fields["offered"]),
+            fields["cpu_utilization"],
+        )
+
+    # Metronome: 3 threads per queue, 6 cores
+    met = arm(_group_per_queue(3, "met-p"), 8)
     # DPDK: one dedicated polling lcore per queue
-    cfg = config.SimConfig(seed=seed, num_cores=4)
-    machine = Machine(cfg)
-    queues = [
-        RxQueue(machine.sim, CbrProcess(rate_pps), sample_every=256, index=i)
-        for i in range(2)
-    ]
-    lcores = [
-        PollModeLcore(machine, [queues[i]], default_app(), core=i,
+    dpdk = arm(lambda machine, port: Receivers([
+        PollModeLcore(machine, [queue], default_app(), core=i,
                       name=f"dpdk-p{i}")
-        for i in range(2)
-    ]
-    for lc in lcores:
-        lc.start()
-    machine.run(until=duration_ms * MS)
-    for q in queues:
-        q.sync()
-    dpdk_rx = sum(lc.rx_packets for lc in lcores)
-    dpdk_offered = sum(q.arrived_total for q in queues)
-    dpdk_drops = sum(q.drops for q in queues)
-    met.dpdk_mpps_per_port = dpdk_rx / 2 / (duration_ms * MS / SEC) / 1e6
-    met.dpdk_loss_pct = 100 * dpdk_drops / max(1, dpdk_offered)
-    met.dpdk_cpu = machine.cpu_utilization([0, 1])
-    return met
+        for i, queue in enumerate(port.queues)
+    ]), 4)
+    return BidirResult(*met, *dpdk)
 
 
 # ---------------------------------------------------------------------- #
@@ -159,41 +154,23 @@ def multiqueue_scaling(
 ) -> dict:
     """The §3.2 motivation scaled up: N line-rate queues (a 40GbE-class
     port with RSS), each shared by its own Metronome thread trio."""
-    cores_needed = num_queues * threads_per_queue
-    cfg = config.SimConfig(seed=seed, num_cores=cores_needed)
-    machine = Machine(cfg)
-    queues = [
-        RxQueue(machine.sim, CbrProcess(per_queue_pps), sample_every=512,
-                index=i)
-        for i in range(num_queues)
-    ]
-    groups = []
-    for i, queue in enumerate(queues):
-        tuner = AdaptiveTuner(vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns,
-                              m=threads_per_queue, initial_rho=0.5)
-        base = i * threads_per_queue
-        group = MetronomeGroup(
-            machine, [queue], default_app(), tuner=tuner,
-            num_threads=threads_per_queue,
-            cores=list(range(base, base + threads_per_queue)),
-            name=f"met-q{i}",
-        )
-        group.start()
-        groups.append(group)
-    machine.run(until=duration_ms * MS)
-    for q in queues:
-        q.sync()
-    offered = sum(q.arrived_total for q in queues)
-    delivered = sum(g.total_packets for g in groups)
-    drops = sum(q.drops for q in queues)
+    _groups, fields = _run(
+        _group_per_queue(threads_per_queue, "met-q"),
+        [CbrProcess(per_queue_pps) for _ in range(num_queues)],
+        duration_ms,
+        config.SimConfig(seed=seed, num_cores=num_queues * threads_per_queue,
+                         latency_sample_every=512),
+        label="multiqueue",
+    )
+    offered = fields["offered"]
+    cpu = fields["cpu_utilization"]
     return {
         "num_queues": num_queues,
         "offered_mpps": offered / (duration_ms * MS / SEC) / 1e6,
-        "delivered_mpps": delivered / (duration_ms * MS / SEC) / 1e6,
-        "loss_pct": 100 * drops / max(1, offered),
-        "cpu_total": machine.cpu_utilization(list(range(cores_needed))),
-        "cpu_per_queue": machine.cpu_utilization(list(range(cores_needed)))
-        / num_queues,
+        "delivered_mpps": fields["delivered"] / (duration_ms * MS / SEC) / 1e6,
+        "loss_pct": 100 * fields["drops"] / max(1, offered),
+        "cpu_total": cpu,
+        "cpu_per_queue": cpu / num_queues,
     }
 
 
@@ -363,37 +340,36 @@ def smt_interference(
     from repro.apps.ferret import FerretWorkload
 
     rate = rate_pps if rate_pps is not None else gbps_to_pps(1.0)
-    results: Dict[str, float] = {}
+    bound_ms = job_work_ms * 20
+    jobs: List[FerretWorkload] = []
 
-    def run_job(machine: Machine) -> float:
+    def smt_cfg() -> config.SimConfig:
+        return config.SimConfig(seed=seed, num_cores=6, smt_pairs=[(0, 1)])
+
+    def start_job(machine: Machine, _receiver=None) -> None:
         job = FerretWorkload(machine, total_work_ms=job_work_ms,
                              num_workers=1, cores=[1], nice=0, name="job")
         job.start()
-        machine.run(until=job_work_ms * 20 * MS)
-        return job.elapsed_ms()
+        jobs.append(job)
 
     # -- alone ----------------------------------------------------------- #
-    machine = Machine(config.SimConfig(seed=seed, num_cores=6,
-                                       smt_pairs=[(0, 1)]))
-    results["alone"] = run_job(machine)
+    machine = Machine(smt_cfg())
+    start_job(machine)
+    machine.run(until=bound_ms * MS)
 
     # -- polling DPDK on the sibling -------------------------------------- #
-    machine = Machine(config.SimConfig(seed=seed, num_cores=6,
-                                       smt_pairs=[(0, 1)]))
-    queue = RxQueue(machine.sim, CbrProcess(rate), sample_every=256)
-    PollModeLcore(machine, [queue], default_app(), core=0).start()
-    results["dpdk_sibling"] = run_job(machine)
+    run_dpdk(rate, duration_ms=bound_ms, cfg=smt_cfg(), core=0,
+             setup_hook=start_job)
 
     # -- Metronome thread on the sibling ---------------------------------- #
-    machine = Machine(config.SimConfig(seed=seed, num_cores=6,
-                                       smt_pairs=[(0, 1)]))
-    queue = RxQueue(machine.sim, CbrProcess(rate), sample_every=256)
-    tuner = AdaptiveTuner(vbar_ns=machine.cfg.vbar_ns,
-                          tl_ns=machine.cfg.tl_ns, m=3, initial_rho=0.3)
-    MetronomeGroup(machine, [queue], default_app(), tuner=tuner,
-                   num_threads=3, cores=[0, 2, 3]).start()
-    results["metronome_sibling"] = run_job(machine)
-    return results
+    cfg = smt_cfg()
+    run_metronome(rate, duration_ms=bound_ms, cfg=cfg,
+                  tuner=AdaptiveTuner(vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns,
+                                      m=3, initial_rho=0.3),
+                  num_threads=3, cores=[0, 2, 3], setup_hook=start_job)
+
+    alone, dpdk, met = (job.elapsed_ms() for job in jobs)
+    return {"alone": alone, "dpdk_sibling": dpdk, "metronome_sibling": met}
 
 
 # ---------------------------------------------------------------------- #

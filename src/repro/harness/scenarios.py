@@ -790,43 +790,37 @@ def chaos_suite(
 class _PhaseProbe:
     """Per-phase metric capture at trace phase boundaries.
 
-    Chains onto the system's Tx completion callbacks (the run-wide
-    stats keep accumulating untouched) and closes one row per phase at
-    its scaled end time: offered/delivered deltas, loss, the phase's
-    own latency distribution, and — for Metronome — the T_S the
-    controller had converged to by the phase end.
+    Reads the run-wide counters at each phase's scaled end time and
+    closes one row per phase: offered/delivered deltas, loss, the
+    phase's own latency distribution (its slice of the receiver's
+    samples), and — for a receiver with a controller — the T_S it had
+    converged to by the phase end.
     """
 
     def __init__(self, system: str, phases):
         self.system = system
         self.phases = phases  # [(name, start_abs_ns, end_abs_ns)]
         self.rows: List[Tuple] = []
-        self._stats = LatencyStats()
         self._last_offered = 0
         self._last_delivered = 0
+        self._last_sample = 0
 
-    def install(self, machine, offered_fn, delivered_fn, txbufs, ts_fn):
-        for tb in txbufs:
-            prev = tb.on_tx
-
-            def on_tx(pkt, prev=prev):
-                if prev is not None:
-                    prev(pkt)
-                self._stats.add(pkt.latency_ns)
-
-            tb.on_tx = on_tx
+    def install(self, machine: Machine, receiver) -> None:
+        """A ``setup_hook`` for any runner: schedules the phase closes."""
         for name, s, e in self.phases:
-            machine.sim.call_at(
-                e, self._close, name, s, e, offered_fn, delivered_fn, ts_fn
-            )
+            machine.sim.call_at(e, self._close, machine, receiver, name, s, e)
 
-    def _close(self, name, s, e, offered_fn, delivered_fn, ts_fn):
-        offered = offered_fn()
-        delivered = delivered_fn()
+    def _close(self, machine: Machine, receiver, name, s, e) -> None:
+        offered = sum(port.total_arrived() for port in machine.sim.nic_ports)
+        delivered = receiver.total_packets
         d_off = offered - self._last_offered
         d_del = delivered - self._last_delivered
         self._last_offered, self._last_delivered = offered, delivered
-        stats, self._stats = self._stats, LatencyStats()
+        samples = receiver.latency.samples()
+        stats = LatencyStats()
+        stats.extend(samples[self._last_sample:])
+        self._last_sample = len(samples)
+        tuner = getattr(receiver, "tuner", None)
         dur_ns = e - s
         loss = max(0.0, 100.0 * (d_off - d_del) / d_off) if d_off else 0.0
         self.rows.append((
@@ -837,7 +831,7 @@ class _PhaseProbe:
             round(loss, 4),
             round(stats.mean() / 1e3, 3) if stats.count else 0.0,
             round(stats.percentile(99) / 1e3, 3) if stats.count else 0.0,
-            round(ts_fn(), 3),
+            round(tuner.ts_ns() / US, 3) if tuner is not None else 0.0,
         ))
 
 
@@ -859,63 +853,16 @@ def trace_phase_tracking(
     from repro.traffic import TraceReplayProcess, benign_phased, generate
 
     trace = generate(benign_phased(duration_ms * MS), seed)
+    runners = {"metronome": run_metronome, "dpdk": run_dpdk, "xdp": run_xdp}
     rows: List[Tuple] = []
     for system in systems:
+        if system not in runners:
+            raise ValueError(f"unknown system {system!r}")
         process = TraceReplayProcess(trace)
         probe = _PhaseProbe(system, process.phases_abs())
-        if system == "metronome":
-
-            def setup_met(machine: Machine, group, probe=probe) -> None:
-                queue = group.shared[0].queue
-
-                def offered() -> int:
-                    queue.sync()
-                    return queue.arrived_total
-
-                probe.install(
-                    machine, offered, lambda: group.total_packets,
-                    [sq.txbuf for sq in group.shared],
-                    lambda: group.tuner.ts_ns() / US,
-                )
-
-            run_metronome(process, duration_ms=duration_ms,
-                          cfg=config.SimConfig(seed=seed),
-                          setup_hook=setup_met)
-        elif system == "dpdk":
-
-            def setup_dpdk(machine: Machine, lcore, probe=probe) -> None:
-                queue = lcore.queues[0]
-
-                def offered() -> int:
-                    queue.sync()
-                    return queue.arrived_total
-
-                probe.install(
-                    machine, offered, lambda: lcore.rx_packets,
-                    lcore.tx_buffers, lambda: 0.0,
-                )
-
-            run_dpdk(process, duration_ms=duration_ms,
-                     cfg=config.SimConfig(seed=seed),
-                     setup_hook=setup_dpdk)
-        elif system == "xdp":
-
-            def setup_xdp(machine: Machine, driver, probe=probe) -> None:
-                def offered() -> int:
-                    for q in driver.queues:
-                        q.queue.sync()
-                    return sum(q.queue.arrived_total for q in driver.queues)
-
-                probe.install(
-                    machine, offered, lambda: driver.total_packets,
-                    [q.txbuf for q in driver.queues], lambda: 0.0,
-                )
-
-            run_xdp(process, duration_ms=duration_ms,
-                    cfg=config.SimConfig(seed=seed), num_queues=1,
-                    setup_hook=setup_xdp)
-        else:
-            raise ValueError(f"unknown system {system!r}")
+        runners[system](process, duration_ms=duration_ms,
+                        cfg=config.SimConfig(seed=seed),
+                        setup_hook=probe.install)
         rows.extend(probe.rows)
     return rows
 

@@ -44,3 +44,15 @@ def test_checkpoint_out_suffixes_for_multiple_scenarios(tmp_path, capsys):
         suffixed = tmp_path / f"ckpt.json.timer-misses.s{seed}.json"
         assert suffixed.exists()
         assert MachineState.load(str(suffixed)).t > 0
+
+
+def test_checkpoint_past_duration_exits_2(capsys):
+    # timer-misses opens its first fault at 5 ms: a 3 ms run has no
+    # healthy prefix to pin, which must be a usage error, not a crash
+    rc = main([
+        "chaos", "timer-misses", "--seed", "7", "--duration-ms", "3",
+        "--checkpoint-before-fault",
+    ])
+    assert rc == 2
+    out = capsys.readouterr().out
+    assert "'timer-misses'" in out and "--duration-ms 3" in out

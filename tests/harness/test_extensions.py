@@ -1,4 +1,10 @@
-"""Smoke tests for extension/ablation scenarios (short durations)."""
+"""Smoke tests for extension/ablation scenarios (short durations).
+
+The bidirectional, multi-queue and SMT set-ups are pinned to their
+exact results, so rewiring how they are built cannot move a figure.
+"""
+
+from dataclasses import asdict
 
 from repro.harness import extensions as ext
 
@@ -15,6 +21,14 @@ def test_bidirectional():
     r = ext.bidirectional_throughput(duration_ms=20)
     assert abs(r.metronome_mpps_per_port - r.dpdk_mpps_per_port) < 0.2
     assert r.metronome_cpu < r.dpdk_cpu
+    assert asdict(r) == {
+        "metronome_mpps_per_port": 11.604425,
+        "metronome_loss_pct": 0.0,
+        "metronome_cpu": 0.91930555,
+        "dpdk_mpps_per_port": 11.60985,
+        "dpdk_loss_pct": 0.0,
+        "dpdk_cpu": 2.0,
+    }
 
 
 def test_multiqueue_scaling():
@@ -22,6 +36,14 @@ def test_multiqueue_scaling():
     assert r["loss_pct"] < 0.1
     assert r["delivered_mpps"] > 28.0
     assert r["cpu_per_queue"] < 0.9
+    assert r == {
+        "num_queues": 2,
+        "offered_mpps": 29.761866666666666,
+        "delivered_mpps": 29.7338,
+        "loss_pct": 0.014784018923544221,
+        "cpu_total": 1.1428251333333332,
+        "cpu_per_queue": 0.5714125666666666,
+    }
 
 
 def test_ablation_diversity():
@@ -61,3 +83,8 @@ def test_smt_interference():
     r = ext.smt_interference(job_work_ms=15)
     assert r["dpdk_sibling"] > 1.3 * r["alone"]
     assert r["metronome_sibling"] < 1.3 * r["alone"]
+    assert r == {
+        "alone": 15.192582,
+        "dpdk_sibling": 23.243355,
+        "metronome_sibling": 16.027392,
+    }

@@ -100,3 +100,26 @@ def test_tuned_smoke():
     out = sc.tuned_low_latency(duration_ms=10)
     assert set(out) == {"metronome_default", "metronome_tuned", "dpdk"}
     assert out["metronome_tuned"]["mean_us"] < out["metronome_default"]["mean_us"]
+
+
+def test_trace_phase_tracking_pinned():
+    """Every system's rows, not just Metronome's: the determinism audit
+    pins only the figure's first (Metronome) task."""
+    rows = sc.trace_phase_tracking(duration_ms=25)
+    assert rows == [
+        ("metronome", "http_peak", 7.5, 2.976, 0.3539, 25.187, 46.284,
+         27.008),
+        ("metronome", "dns_burst", 3.75, 6.0451, 0.0441, 20.583, 39.387,
+         24.14),
+        ("metronome", "ssh_steady", 8.75, 0.8, 0.0, 31.214, 71.845, 28.992),
+        ("metronome", "udp_light", 5.0, 0.2068, 0.0, 117.823, 151.669,
+         29.601),
+        ("dpdk", "http_peak", 7.5, 2.976, 0.0179, 11.241, 18.169, 0.0),
+        ("dpdk", "dns_burst", 3.75, 6.0451, 0.0, 7.853, 12.217, 0.0),
+        ("dpdk", "ssh_steady", 8.75, 0.8, 0.0143, 21.421, 33.981, 0.0),
+        ("dpdk", "udp_light", 5.0, 0.2068, 0.0, 38.816, 86.204, 0.0),
+        ("xdp", "http_peak", 7.5, 2.976, 0.1837, 36.63, 59.741, 0.0),
+        ("xdp", "dns_burst", 3.75, 6.0451, 43.2529, 287.803, 321.288, 0.0),
+        ("xdp", "ssh_steady", 8.75, 0.8, 0.0, 73.158, 320.334, 0.0),
+        ("xdp", "udp_light", 5.0, 0.2068, 0.0, 12.353, 16.478, 0.0),
+    ]

@@ -21,7 +21,6 @@ import pytest
 
 import repro
 from repro import config
-from repro.faults.plan import FaultPlan
 from repro.harness.experiment import run_dpdk, run_metronome, run_xdp
 from repro.sim.snapshot import MachineState, SnapshotMismatch, capture, restore
 from repro.sim.units import MS
@@ -185,6 +184,14 @@ def test_runner_checkpoint_is_pure(runner):
     # independent checkpointed runs agree on the state itself
     again = runner(checkpoint_at_ns=2 * MS)
     assert again.checkpoint.diff(ckpt.checkpoint) == []
+
+
+@pytest.mark.parametrize("runner", CHECKPOINTED_RUNNERS)
+def test_runner_rejects_checkpoint_outside_window(runner):
+    # the window of every CHECKPOINTED_RUNNERS entry is [0, 4 ms]
+    for t in (4 * MS + 1, -1):
+        with pytest.raises(ValueError, match="outside the measurement"):
+            runner(checkpoint_at_ns=t)
 
 
 def test_chaos_checkpoint_is_pure():
