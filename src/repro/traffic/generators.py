@@ -24,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.sim.rng import RandomStreams
 from repro.sim.units import MS, SEC
 from repro.traffic.trace import Phase, Trace
@@ -121,51 +123,60 @@ class TraceSpec:
 
 
 def _gen_window(rng, spec: PhaseSpec, w_start: int, w_end: int,
-                records: List[Tuple[int, int, int]]) -> None:
-    """Emit one continuous traffic window of ``spec`` into ``records``."""
+                times: List[int], flows: List[int]) -> None:
+    """Emit one continuous traffic window of ``spec``: its arrival
+    times and one ``randrange`` flow draw per packet, in order."""
     rate = spec.rate_pps
     if rate <= 0:
         return
+    pick, n_flows = rng.randrange, spec.flows
     if spec.arrival == "cbr":
-        # exact integer spacing: packet k at w_start + ceil((k+1)/rate)
-        k = 0
-        while True:
-            t = w_start + ((k + 1) * SEC + rate - 1) // rate
-            if t > w_end:
-                break
-            records.append((t, spec.frame_len, rng.randrange(spec.flows)))
-            k += 1
+        # exact integer spacing: packet k >= 1 at w_start +
+        # ceil(k * SEC / rate), for every k that lands by w_end
+        count = (w_end - w_start) * rate // SEC
+        times.extend(w_start + (k * SEC + rate - 1) // rate
+                     for k in range(1, count + 1))
+        flows.extend(pick(n_flows) for _ in range(count))
     else:  # poisson
         lam = rate / SEC  # packets per ns
+        expo = rng.expovariate
         t = w_start
         while True:
-            t += max(1, int(rng.expovariate(lam)))
+            t += max(1, int(expo(lam)))
             if t > w_end:
                 break
-            records.append((t, spec.frame_len, rng.randrange(spec.flows)))
+            times.append(t)
+            flows.append(pick(n_flows))
 
 
 def generate(spec: TraceSpec, seed: int) -> Trace:
     """Materialize ``spec`` into a validated trace.  Pure in (spec, seed)."""
     streams = RandomStreams(seed)
-    records: List[Tuple[int, int, int]] = []
+    times: List[int] = []
+    flows: List[int] = []
+    per_phase: List[int] = []  # records each phase emitted
     phases: List[Phase] = []
     cursor = 0
     for index, ph in enumerate(spec.phases):
         rng = streams.stream(f"traffic.gen.{spec.name}.{index}.{ph.name}")
         p_start, p_end = cursor, cursor + ph.duration_ns
         phases.append(Phase(ph.name, p_start, p_end))
+        before = len(times)
         if ph.burst_ns > 0:
             w = p_start
             while w < p_end:
-                _gen_window(rng, ph, w, min(w + ph.burst_ns, p_end), records)
+                _gen_window(rng, ph, w, min(w + ph.burst_ns, p_end),
+                            times, flows)
                 w += ph.burst_ns + ph.gap_ns
         else:
-            _gen_window(rng, ph, p_start, p_end, records)
+            _gen_window(rng, ph, p_start, p_end, times, flows)
+        per_phase.append(len(times) - before)
         cursor = p_end
-    trace = Trace(
+    trace = Trace.from_columns(
+        times,
+        np.repeat([ph.frame_len for ph in spec.phases], per_phase),
+        flows,
         phases=phases,
-        records=records,
         meta={"generator": spec.name, "seed": seed,
               "description": spec.description},
     )

@@ -10,27 +10,27 @@ DPDK PCAP sender v2 knob set (SNIPPETS.md §1):
   perturbs any other stochastic component;
 * ``loop=`` repeats the trace end-to-end with exact cycle arithmetic.
 
-The schedule is fixed at construction (one pass over the records), so
-``advance`` is a cursor walk, ``next_arrival_after`` is a binary
-search, and ``time_for_count`` is exact index arithmetic — same
-complexity class as the synthetic processes.  Because the schedule is
-immutable after construction, a replayed run re-derives it identically,
-which is what makes mid-trace :mod:`repro.sim.snapshot` checkpoints
-verify byte-for-byte.
+The schedule is fixed at construction by one array expression over
+the trace's columns; counting is the shared
+:class:`~repro.nic.topology.FixedSchedule` arithmetic.  Because the
+schedule is immutable after construction, a replayed run re-derives it
+identically, which is what makes mid-trace :mod:`repro.sim.snapshot`
+checkpoints verify byte-for-byte.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from typing import List, Optional, Tuple
 
-from repro.nic.traffic import ArrivalProcess
+import numpy as np
+
+from repro.nic.topology import FixedSchedule
 from repro.sim.units import SEC
 from repro.traffic.trace import Trace
 
 
-class TraceReplayProcess(ArrivalProcess):
+class TraceReplayProcess(FixedSchedule):
     """Replay a trace's packet schedule through the ArrivalProcess API."""
 
     def __init__(
@@ -53,38 +53,30 @@ class TraceReplayProcess(ArrivalProcess):
             )
         trace.validate()
         self.trace = trace
-        self.trace_sha = trace.sha256()
         self.speedup = speedup
-        self.loop = loop
         self.jitter = jitter
-        self.start = start
-        self.last_t = start
-        self.total = 0
 
-        # one construction-time pass fixes the whole schedule: scaled,
-        # jittered offsets relative to `start`, non-decreasing, >= 1 so
-        # the first packet is countable (arrivals live in (start, t])
-        times: List[int] = []
-        self._flows: List[int] = []
-        self._lens: List[int] = []
-        t_f = 0.0
-        prev_rec = 0
-        prev_out = 1
-        for t_ns, length, flow in trace.records:
-            gap = (t_ns - prev_rec) / speedup
-            if jitter > 0:
-                gap *= 1.0 + jitter * (2.0 * jitter_rng.random() - 1.0)
-            t_f += gap
-            prev_rec = t_ns
-            prev_out = max(prev_out, int(t_f))
-            times.append(prev_out)
-            self._flows.append(flow)
-            self._lens.append(length)
-        self._times = times
-        self._n = len(times)
+        # scaled, jittered offsets relative to `start`, non-decreasing,
+        # >= 1 so the first packet is countable (arrivals live in
+        # (start, t]); one jitter draw per record, in record order.
+        # np.cumsum is a sequential left fold: bit-identical to adding
+        # the gaps one record at a time
+        gaps = np.diff(trace.times, prepend=0) / speedup
+        if jitter > 0:
+            u = np.array([jitter_rng.random() for _ in range(len(gaps))])
+            gaps *= 1.0 + jitter * (2.0 * u - 1.0)
+        times = np.cumsum(gaps).astype(np.int64)
+        times[:1] = np.maximum(times[:1], 1)
+        np.maximum.accumulate(times, out=times)
         scaled_dur = int(trace.duration_ns / speedup)
-        self._cycle = max(scaled_dur, (times[-1] + 1) if times else 1)
+        cycle = max(scaled_dur, int(times[-1]) + 1 if len(times) else 1)
+        super().__init__(times, trace.flows, trace.lens, cycle, loop, start)
         self._phase_windows = self._build_phase_windows()
+
+    @property
+    def trace_sha(self) -> str:
+        """Content digest of the replayed trace (computed on each read)."""
+        return self.trace.sha256()
 
     # -- phase bookkeeping ------------------------------------------------ #
 
@@ -119,42 +111,6 @@ class TraceReplayProcess(ArrivalProcess):
         """Absolute ``(t_ns, phase name)`` transition marks."""
         return [(s, name) for name, s, _e in self.phases_abs()]
 
-    # -- counting --------------------------------------------------------- #
-
-    def _count_at(self, t: int) -> int:
-        rel = t - self.start
-        if rel <= 0 or self._n == 0:
-            return 0
-        if not self.loop:
-            return bisect_right(self._times, rel)
-        cycles, rem = divmod(rel, self._cycle)
-        return cycles * self._n + bisect_right(self._times, rem)
-
-    def advance(self, t1: int) -> int:
-        if t1 < self.last_t:
-            raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
-        n = self._count_at(t1) - self.total
-        self.total += n
-        self.last_t = t1
-        return n
-
-    def next_arrival_after(self, t: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        rel = t - self.start
-        if rel < 0:
-            return self.start + self._times[0]
-        if not self.loop:
-            idx = bisect_right(self._times, rel)
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, rem = divmod(rel, self._cycle)
-        idx = bisect_right(self._times, rem)
-        if idx < self._n:
-            return self.start + cycles * self._cycle + self._times[idx]
-        return self.start + (cycles + 1) * self._cycle + self._times[0]
-
     def rate_at(self, t: int) -> float:
         if self._n == 0:
             return 0.0
@@ -165,69 +121,6 @@ class TraceReplayProcess(ArrivalProcess):
             if s <= rel < e:
                 return pps
         return 0.0
-
-    def time_for_count(self, t: int, k: int) -> Optional[int]:
-        """Exact: the arrival time of the k-th packet after ``t``."""
-        if k <= 0:
-            return t
-        if self._n == 0:
-            return None
-        idx = self._count_at(t) + k - 1
-        if not self.loop:
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, j = divmod(idx, self._n)
-        return self.start + cycles * self._cycle + self._times[j]
-
-    # -- schedule access (read-only; RSS sharding) ------------------------- #
-
-    @property
-    def schedule_times(self) -> List[int]:
-        """The fixed arrival-offset schedule (relative to ``start``).
-
-        Read-only view for consumers that partition the replay across
-        RSS queues (:func:`repro.nic.topology.rss_shard`); mutating the
-        returned list breaks the replay contract.
-        """
-        return self._times
-
-    @property
-    def schedule_flows(self) -> List[int]:
-        """Per-arrival flow ids aligned with :attr:`schedule_times`."""
-        return self._flows
-
-    @property
-    def schedule_lens(self) -> List[int]:
-        """Per-arrival frame lengths aligned with :attr:`schedule_times`."""
-        return self._lens
-
-    @property
-    def cycle_ns(self) -> int:
-        """Length of one loop cycle in scaled nanoseconds."""
-        return self._cycle
-
-    # -- flow plumbing ---------------------------------------------------- #
-
-    def flow_of(self, seq: int) -> Optional[int]:
-        """The trace-supplied flow id of arrival ``seq`` (None past end)."""
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._flows[seq % self._n]
-        if seq >= self._n:
-            return None
-        return self._flows[seq]
-
-    def len_of(self, seq: int) -> Optional[int]:
-        """The trace-supplied frame length of arrival ``seq``."""
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._lens[seq % self._n]
-        if seq >= self._n:
-            return None
-        return self._lens[seq]
 
     # -- checkpointing ---------------------------------------------------- #
 

@@ -3,14 +3,18 @@
 A trace is the unit of exchange for trace-driven replay (ROADMAP item
 3): a header describing named temporal *phases* plus one record per
 packet — ``(t_ns, len, flow)`` — with nanosecond arrival offsets
-relative to the trace start.  The on-disk form is JSONL: a single
-header object followed by one compact ``[t_ns, len, flow]`` array per
-record, optionally gzip-compressed (any path ending in ``.gz``).
+relative to the trace start.  In memory the records are three
+read-only ``int64`` columns (``times``, ``lens``, ``flows``) that the
+replay and the RSS shards share by reference.  The on-disk form is
+JSONL: a single header object followed by one compact
+``[t_ns, len, flow]`` array per record, optionally gzip-compressed (any
+path ending in ``.gz``).
 
 Design contract:
 
 * **versioned** — the header carries ``format``/``version``; loaders
-  reject anything they do not understand rather than guessing;
+  reject anything they do not understand rather than guessing (a
+  record field or header ``count`` that is not a JSON integer too);
 * **deterministic identity** — :meth:`Trace.sha256` hashes the
   canonical serialization, so generators can be audited as pure
   functions of (spec, seed) and caches can key on content;
@@ -25,10 +29,12 @@ import gzip
 import hashlib
 import io
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.nic.topology import frozen_column
 from repro.sim.units import SEC
 
 #: on-disk format name; loaders reject anything else
@@ -40,6 +46,9 @@ MAX_FRAME_LEN = 9216
 
 #: one packet record: (arrival offset ns, frame length, flow id)
 Record = Tuple[int, int, int]
+
+#: the range a record field must fit: the columns are ``int64``
+_INT64 = range(-(1 << 63), 1 << 63)
 
 
 class TraceError(ValueError):
@@ -69,7 +78,11 @@ class Phase:
 
 
 class Trace:
-    """An ordered packet trace with named phases and JSON metadata."""
+    """An ordered packet trace with named phases and JSON metadata.
+
+    ``records`` (tuples) fills the ``times``/``lens``/``flows`` columns;
+    :meth:`from_columns` adopts ready columns without a per-record pass.
+    """
 
     def __init__(
         self,
@@ -78,25 +91,42 @@ class Trace:
         meta: Optional[Dict] = None,
     ):
         self.phases: List[Phase] = list(phases)
-        self.records: List[Record] = [
-            (int(t), int(length), int(flow)) for t, length, flow in records
-        ]
         self.meta: Dict = dict(meta or {})
+        rows = np.array(records, dtype=np.int64).reshape(len(records), 3)
+        self.times, self.lens, self.flows = map(frozen_column, rows.T)
+
+    @classmethod
+    def from_columns(cls, times, lens, flows, phases: Sequence[Phase] = (),
+                     meta: Optional[Dict] = None) -> "Trace":
+        """A trace over ready ``times``/``lens``/``flows`` columns."""
+        trace = cls(phases=phases, meta=meta)
+        trace.times, trace.lens, trace.flows = map(frozen_column,
+                                                   (times, lens, flows))
+        return trace
 
     # -- derived ---------------------------------------------------------- #
 
     @property
+    def records(self) -> List[Record]:
+        """The records as ``(t_ns, len, flow)`` tuples (a fresh list)."""
+        return list(self._rows())
+
+    def _rows(self):
+        return zip(self.times.tolist(), self.lens.tolist(),
+                   self.flows.tolist())
+
+    @property
     def packet_count(self) -> int:
-        return len(self.records)
+        return len(self.times)
 
     @property
     def byte_count(self) -> int:
-        return sum(r[1] for r in self.records)
+        return int(self.lens.sum())
 
     @property
     def duration_ns(self) -> int:
         """Trace length: the later of the last record and last phase end."""
-        last_rec = self.records[-1][0] if self.records else 0
+        last_rec = int(self.times[-1]) if len(self.times) else 0
         last_phase = self.phases[-1].end_ns if self.phases else 0
         return max(last_rec, last_phase)
 
@@ -104,7 +134,7 @@ class Trace:
         dur = self.duration_ns
         if dur <= 0:
             return 0.0
-        return len(self.records) * SEC / dur
+        return len(self.times) * SEC / dur
 
     def phase_slices(self) -> List[Tuple[Phase, int, int]]:
         """Each phase with its ``[first, last)`` record index range.
@@ -112,23 +142,32 @@ class Trace:
         Records exactly at a phase's ``end_ns`` belong to the next
         phase; the final phase's end is inclusive (it is the trace end).
         """
-        times = [r[0] for r in self.records]
         out: List[Tuple[Phase, int, int]] = []
         for i, phase in enumerate(self.phases):
-            lo = bisect_left(times, phase.start_ns)
+            lo = int(np.searchsorted(self.times, phase.start_ns, "left"))
             if i == len(self.phases) - 1:
-                hi = len(times)
+                hi = len(self.times)
             else:
-                hi = bisect_left(times, phase.end_ns)
+                hi = int(np.searchsorted(self.times, phase.end_ns, "left"))
             out.append((phase, lo, hi))
         return out
 
     # -- validation ------------------------------------------------------- #
 
     def validate(self) -> None:
-        """Raise :exc:`TraceError` unless the trace is well-formed."""
-        prev_t = 0
-        for i, (t, length, flow) in enumerate(self.records):
+        """Raise :exc:`TraceError` unless the trace is well-formed.
+
+        The record checks run over whole columns; the first offending
+        record is then re-checked alone for its message.
+        """
+        times, lens, flows = self.times, self.lens, self.flows
+        prev = np.concatenate(([0], times[:-1]))
+        bad = ((times < prev) | (times < 0) | (lens < 1)
+               | (lens > MAX_FRAME_LEN) | (flows < 0))
+        if bad.any():
+            i = int(bad.argmax())
+            t, length, flow, prev_t = (int(times[i]), int(lens[i]),
+                                       int(flows[i]), int(prev[i]))
             if t < 0:
                 raise TraceError(f"record {i}: negative arrival time {t}")
             if t < prev_t:
@@ -138,9 +177,7 @@ class Trace:
             if not 1 <= length <= MAX_FRAME_LEN:
                 raise TraceError(f"record {i}: frame length {length} "
                                  f"outside [1, {MAX_FRAME_LEN}]")
-            if flow < 0:
-                raise TraceError(f"record {i}: negative flow id {flow}")
-            prev_t = t
+            raise TraceError(f"record {i}: negative flow id {flow}")
         prev_end = 0
         for i, phase in enumerate(self.phases):
             if not phase.name:
@@ -156,17 +193,20 @@ class Trace:
                     f"overlapping the previous phase (ends {prev_end})"
                 )
             prev_end = phase.end_ns
-        if self.phases and self.records:
-            if self.records[-1][0] > self.phases[-1].end_ns:
+        if self.phases and len(times):
+            if times[-1] > self.phases[-1].end_ns:
                 raise TraceError(
-                    f"last record at {self.records[-1][0]} lies past the "
+                    f"last record at {int(times[-1])} lies past the "
                     f"final phase end {self.phases[-1].end_ns}"
                 )
 
     # -- identity --------------------------------------------------------- #
 
     def sha256(self) -> str:
-        """Content digest of the canonical serialization."""
+        """Content digest of the canonical serialization.
+
+        Computed on each call: it serializes the whole trace.
+        """
         return hashlib.sha256(self.dumps().encode()).hexdigest()
 
     # -- serialization ---------------------------------------------------- #
@@ -175,7 +215,7 @@ class Trace:
         return {
             "format": TRACE_FORMAT,
             "version": TRACE_VERSION,
-            "count": len(self.records),
+            "count": len(self.times),
             "duration_ns": self.duration_ns,
             "phases": [p.to_dict() for p in self.phases],
             "meta": self.meta,
@@ -187,7 +227,7 @@ class Trace:
         json.dump(self._header(), out, sort_keys=True,
                   separators=(",", ":"))
         out.write("\n")
-        for t, length, flow in self.records:
+        for t, length, flow in self._rows():
             out.write(f"[{t},{length},{flow}]\n")
         return out.getvalue()
 
@@ -211,7 +251,11 @@ class Trace:
                 f"unsupported trace version {version!r} "
                 f"(this build reads version {TRACE_VERSION})"
             )
-        records: List[Record] = []
+        count = header.get("count")
+        if count is not None and type(count) is not int:
+            raise TraceError(f"line 1: header count {count!r} is not an "
+                             "integer")
+        records: List[List[int]] = []
         for lineno, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -221,8 +265,13 @@ class Trace:
                 raise TraceError(f"line {lineno}: bad record: {exc}") from exc
             if not (isinstance(rec, list) and len(rec) == 3):
                 raise TraceError(f"line {lineno}: record is not [t,len,flow]")
-            records.append((int(rec[0]), int(rec[1]), int(rec[2])))
-        count = header.get("count")
+            # exact type: bool is an int subclass, and int() would
+            # silently truncate floats and parse strings
+            for v in rec:
+                if type(v) is not int or v not in _INT64:
+                    raise TraceError(f"line {lineno}: record field {v!r} is "
+                                     "not a 64-bit JSON integer")
+            records.append(rec)
         if count is not None and count != len(records):
             raise TraceError(
                 f"header count {count} != {len(records)} records (truncated?)"
@@ -265,7 +314,7 @@ class Trace:
         """Human-readable summary (the ``repro traffic describe`` body)."""
         lines = [
             f"format: {TRACE_FORMAT} v{TRACE_VERSION}",
-            f"packets: {len(self.records):,}  "
+            f"packets: {len(self.times):,}  "
             f"bytes: {self.byte_count:,}  "
             f"duration: {self.duration_ns / 1e6:.3f} ms  "
             f"mean rate: {self.mean_rate_pps() / 1e6:.3f} Mpps",

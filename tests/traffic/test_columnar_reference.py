@@ -1,0 +1,145 @@
+"""The columnar trace pipeline agrees with its per-record reference.
+
+``tests/traffic/reference.py`` keeps the record-at-a-time validation,
+replay schedule and RSS shard loops; hypothesis draws traces (empty,
+one record, duplicate timestamps, flow ids past ``num_flows``) and
+replay knobs, and every result must match exactly: the schedule,
+``cycle_ns``, the shard partition, each ``ArrivalProcess`` method over
+a time grid, and the first validation error.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.nic.flows import FlowSet
+from repro.nic.topology import rss_shard
+from repro.traffic import MAX_FRAME_LEN, Phase, Trace, TraceError, TraceReplayProcess
+from tests.traffic import reference
+
+#: a small flow population, so many flow ids wrap past num_flows
+FLOWS = FlowSet(num_flows=16)
+
+
+@st.composite
+def traces(draw):
+    n = draw(st.integers(0, 40))
+    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 3000)),
+                         min_size=n, max_size=n))
+    times = []
+    t = draw(st.integers(0, 500))
+    for gap in gaps:
+        t += gap
+        times.append(t)
+    lens = draw(st.lists(st.integers(1, MAX_FRAME_LEN), min_size=n,
+                         max_size=n))
+    flows = draw(st.lists(st.integers(0, 60), min_size=n, max_size=n))
+    end = (times[-1] if times else 0) + draw(st.integers(1, 2000))
+    cuts = sorted({c for c in draw(st.lists(st.integers(1, end), max_size=3))
+                   if c < end})
+    bounds = [0, *cuts, end]
+    phases = [Phase(f"p{i}", lo, hi)
+              for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    if draw(st.booleans()):
+        phases = []
+    return Trace(phases=phases, records=list(zip(times, lens, flows)))
+
+
+def _grid(ref, start):
+    span = ref._cycle * (3 if ref.loop else 1) + 50
+    points = {start - 7, start, start + span}
+    points.update(start + k * span // 23 for k in range(24))
+    for t in ref._times[:12]:
+        points.update((start + t - 1, start + t, start + t + 1))
+    return sorted(points)
+
+
+def _assert_same_process(fast, ref, start):
+    assert fast.cycle_ns == ref._cycle
+    for seq in range(3 * ref._n + 2):
+        assert fast.flow_of(seq) == ref.flow_of(seq)
+        assert fast.len_of(seq) == ref.len_of(seq)
+    for t in _grid(ref, start):
+        assert fast.next_arrival_after(t) == ref.next_arrival_after(t), t
+        assert fast.rate_at(t) == ref.rate_at(t), t
+        for k in range(4):
+            assert fast.time_for_count(t, k) == ref.time_for_count(t, k)
+        if t >= ref.last_t:
+            assert fast.advance(t) == ref.advance(t), t
+            assert fast.total == ref.total
+
+
+@settings(max_examples=150, deadline=None)
+@given(trace=traces(),
+       speedup=st.floats(0.1, 4.0),
+       jitter=st.one_of(st.just(0.0), st.floats(0.0, 0.9, exclude_max=True)),
+       loop=st.booleans(),
+       queues=st.integers(1, 8),
+       start=st.integers(0, 10_000),
+       seed=st.integers(0, 2**32))
+def test_replay_and_shards_match_reference(trace, speedup, jitter, loop,
+                                           queues, start, seed):
+    fast = TraceReplayProcess(trace, speedup=speedup, loop=loop,
+                              jitter=jitter, jitter_rng=random.Random(seed),
+                              start=start)
+    ref = reference.ReferenceReplay(
+        trace.records, trace.phases, trace.duration_ns, speedup=speedup,
+        loop=loop, jitter=jitter, jitter_rng=random.Random(seed),
+        start=start)
+    assert fast.schedule_times.tolist() == ref._times
+
+    shards = rss_shard(fast, queues, flows=FLOWS)
+    ref_shards = reference.shard(ref, queues, FLOWS)
+    assert len(shards) == len(ref_shards) == queues
+    for got, want in zip(shards, ref_shards):
+        assert got.schedule_times.tolist() == want._times
+        assert got.schedule_flows.tolist() == want._flows
+        assert got.schedule_lens.tolist() == want._lens
+        _assert_same_process(got, want, start)
+    # the master last: its advance() runs after the shards were cut
+    _assert_same_process(fast, ref, start)
+
+
+@st.composite
+def corrupted(draw):
+    records = draw(st.lists(st.tuples(
+        st.integers(-2, 8),
+        st.sampled_from([-1, 0, 1, 64, MAX_FRAME_LEN, MAX_FRAME_LEN + 1]),
+        st.integers(-2, 5),
+    ), max_size=12))
+    phases = draw(st.lists(st.builds(
+        Phase, st.sampled_from(["", "a", "b"]), st.integers(-2, 30),
+        st.integers(-2, 50)), max_size=3))
+    return records, phases
+
+
+def _error(check):
+    try:
+        check()
+    except TraceError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=corrupted())
+def test_validate_reports_the_reference_first_error(case):
+    records, phases = case
+    trace = Trace(phases=phases, records=records)
+    assert _error(trace.validate) == _error(
+        lambda: reference.validate(records, phases))
+
+
+@pytest.mark.parametrize("records", [
+    [(5, 64, 0), (3, 64, 0), (-1, 0, -1)],   # first error wins
+    [(5, 64, 0), (4, 64, 0)],
+    [(1, 64, 0), (1, 64, 0), (2, 0, 0)],     # duplicates are fine
+    [(1, 64, -1)],
+    [(0, MAX_FRAME_LEN + 1, 0)],
+])
+def test_validate_first_error_examples(records):
+    message = _error(Trace(records=records).validate)
+    assert message is not None
+    assert message == _error(lambda: reference.validate(records))

@@ -14,6 +14,29 @@ from repro.traffic import (
 )
 
 
+#: ``generate(SHIPPED_TRACES[name](20 * MS), 1).sha256()``: the trace
+#: bytes every shipped generator must keep across commits
+GOLDEN_TRACE_SHA = {
+    "benign":
+        "7aa67deb612d1321edfde5d37775c8ccf6bb70ca8d1b74843cce4d46fc342e7c",
+    "http-flood":
+        "a7546421fb3c1dcef4f4c2b5266d070dbfe1dfa4de4f130c072514070bc9bc25",
+    "microburst-ddos":
+        "0fe597b76ca46df31db5c9723f071abf4f78b7584fd699b5a09a42887b64d07b",
+    "slow-drip":
+        "2094dae36e2bea4a7c01c6d41935e07c6ff6339170d78d6f3f972f0c0efe1cf6",
+    "steady-background":
+        "57b658da2cf31d00fdc88385e63ef3c352048a9fc11320c611e17cc1a0b13cec",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACE_SHA))
+def test_shipped_trace_bytes_are_pinned(name):
+    assert set(GOLDEN_TRACE_SHA) == set(SHIPPED_TRACES)
+    trace = generate(SHIPPED_TRACES[name](20 * MS), 1)
+    assert trace.sha256() == GOLDEN_TRACE_SHA[name]
+
+
 def test_generation_is_pure_in_spec_and_seed():
     spec = benign_phased(5 * MS)
     assert generate(spec, 7).sha256() == generate(spec, 7).sha256()

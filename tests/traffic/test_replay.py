@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.nic.topology import rss_shard
 from repro.sim.rng import RandomStreams
 from repro.traffic import Phase, Trace, TraceReplayProcess
 
@@ -172,3 +173,13 @@ def test_snapshot_state_pins_cursor_and_knobs():
     q = TraceReplayProcess(make_trace(), speedup=2.0, loop=True)
     q.advance(300)
     assert q.snapshot_state() == s
+
+
+def test_schedule_columns_are_read_only():
+    p = TraceReplayProcess(make_trace())
+    shards = [s for s in rss_shard(p, 2) if s.snapshot_state()["n"]]
+    for proc in [p, *shards]:
+        for column in (proc.schedule_times, proc.schedule_flows,
+                       proc.schedule_lens):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0

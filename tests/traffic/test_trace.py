@@ -47,9 +47,19 @@ def test_round_trip_gzip_and_bit_stability(tmp_path):
 def test_sha256_stable_and_content_sensitive():
     t = small_trace()
     assert t.sha256() == small_trace().sha256()
-    other = small_trace()
-    other.records[0] = (101, 64, 1)
+    base = small_trace()
+    other = Trace(phases=base.phases,
+                  records=[(101, 64, 1)] + base.records[1:],
+                  meta=base.meta)
     assert other.sha256() != t.sha256()
+
+
+def test_columns_are_read_only():
+    t = small_trace()
+    for column in (t.times, t.lens, t.flows):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 5
+    assert t.records[0] == (100, 64, 1)
 
 
 def test_derived_quantities():
@@ -128,6 +138,23 @@ def test_loads_rejects_malformed_record():
         Trace.loads(header + "\n[1,64\n")
     with pytest.raises(TraceError, match=r"\[t,len,flow\]"):
         Trace.loads(header + "\n[1,64]\n")
+
+
+@pytest.mark.parametrize("record", [
+    "[1.7,64,0]", "[true,64,0]", "[1,64.9,0]", '["5",64,0]',
+])
+def test_loads_rejects_non_integer_fields(record):
+    header = Trace(records=[(1, 64, 0)]).dumps().splitlines()[0]
+    with pytest.raises(TraceError, match="line 2: .*not a 64-bit JSON integer"):
+        Trace.loads(header + "\n" + record + "\n")
+
+
+@pytest.mark.parametrize("count", ["1.0", "true", '"1"'])
+def test_loads_rejects_non_integer_count(count):
+    text = Trace(records=[(1, 64, 0)]).dumps().replace('"count":1',
+                                                       f'"count":{count}')
+    with pytest.raises(TraceError, match="line 1: header count"):
+        Trace.loads(text)
 
 
 def test_gzip_file_is_actually_gzip(tmp_path):
