@@ -307,6 +307,14 @@ class MetronomeGroup:
         # thread reaches
         in_order = range(nq)
         rotations = [[(off + k) % nq for k in range(nq)] for off in range(nq)]
+        # the fixed-cost actions, built once (the scheduler never
+        # mutates an action): the trylock per queue, the contended
+        # trylock's extra, the poll that finds the queue empty, unlock
+        trylocks = [Compute(config.TRYLOCK_NS + t_extra)
+                    for t_extra, _b, _p in penalties]
+        contended = Compute(config.TRYLOCK_CONTENDED_NS - config.TRYLOCK_NS)
+        poll_empty = Compute(config.RX_POLL_EMPTY_NS)
+        unlock = Compute(config.UNLOCK_NS)
         while self.iterations is None or stats.iterations < self.iterations:
             stats.iterations += 1
             lock_taken = False
@@ -316,13 +324,11 @@ class MetronomeGroup:
                 order = in_order
             for qi in order:
                 sq = self.shared[qi]
-                t_extra, b_extra, p_extra = penalties[qi]
-                yield Compute(config.TRYLOCK_NS + t_extra)
+                _t, b_extra, p_extra = penalties[qi]
+                yield trylocks[qi]
                 if not sq.lock.try_acquire(kt):
                     stats.busy_tries += 1
-                    yield Compute(
-                        config.TRYLOCK_CONTENDED_NS - config.TRYLOCK_NS
-                    )
+                    yield contended
                     continue
                 lock_taken = True
                 backlog = sq.queue.occupancy()
@@ -334,7 +340,7 @@ class MetronomeGroup:
                     n, tagged = sq.queue.rx_burst(self.burst)
                     if n == 0:
                         # the final poll that finds the queue drained
-                        yield Compute(config.RX_POLL_EMPTY_NS)
+                        yield poll_empty
                         break
                     stats.packets += n
                     drained += n
@@ -359,7 +365,7 @@ class MetronomeGroup:
                 self.tuner.observe(record)
                 if tracer.enabled:
                     tracer.drain_end(kt, sq.queue.index, drained)
-                yield Compute(config.UNLOCK_NS)
+                yield unlock
                 sq.lock.release(kt)
 
             if lock_taken:

@@ -11,6 +11,11 @@ Work-vs-wall conversion: thread work is specified in *base-frequency
 nanoseconds*; at frequency ``f`` a chunk of ``w`` base-ns takes
 ``w * base / f`` wall-ns.  The ``performance`` governor keeps ``f = base``
 so the common path is the identity.
+
+The execution speed (and the busy-state power draw) only changes at two
+points — a frequency write and an SMT sibling's busy/idle flip — so each
+core computes both once per such *speed epoch* and the per-chunk
+conversions read the cached values.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro import config
+from repro.kernel.power import core_power_w
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.thread import KThread
@@ -31,6 +37,9 @@ class Core:
         self.sim = machine.sim
         self.index = index
         self.base_freq = machine.cfg.base_freq_hz
+        #: hyper-threading sibling (None = SMT off for this core)
+        self.smt_sibling: Optional["Core"] = None
+        self._busy_since: Optional[int] = None
         self.freq = self.base_freq
         #: NUMA node this core belongs to (contiguous blocks across the
         #: configured socket count; 0 for the paper's single-node box)
@@ -40,8 +49,6 @@ class Core:
         self.current: Optional["KThread"] = None
         #: thread that ran most recently (cache-warmth tracking)
         self.last_thread: Optional["KThread"] = None
-        #: hyper-threading sibling (None = SMT off for this core)
-        self.smt_sibling: Optional["Core"] = None
 
         # accounting
         self.busy_ns = 0          # thread execution time
@@ -51,7 +58,6 @@ class Core:
         #: instructions — excluded from getrusage/mpstat-style CPU
         #: metrics, which is what the paper's figures report
         self.exit_stall_ns = 0
-        self._busy_since: Optional[int] = None
         self.idle_since: Optional[int] = 0  # core starts idle at t=0
 
         # fault-injection accounting (repro.faults): SMI-style freezes
@@ -62,29 +68,43 @@ class Core:
     # work/wall conversion
     # ------------------------------------------------------------------ #
 
-    def _effective_freq(self) -> int:
-        """Current execution speed: governor frequency, derated when the
-        SMT sibling is simultaneously executing."""
-        freq = self.freq
+    @property
+    def freq(self) -> int:
+        """Governor frequency in Hz."""
+        return self._freq
+
+    @freq.setter
+    def freq(self, hz: int) -> None:
+        # a frequency write opens a new speed epoch
+        self._freq = hz
+        #: power draw while busy at this frequency (the meter's rate)
+        self.busy_w = core_power_w(True, hz, self.base_freq)
+        self._refresh_speed()
+
+    def _refresh_speed(self) -> None:
+        """Recompute the execution speed: governor frequency, derated
+        while the SMT sibling is simultaneously executing."""
+        freq = self._freq
         sib = self.smt_sibling
         if sib is not None and sib.is_busy:
             freq = int(freq * config.SMT_SLOWDOWN)
-        return max(1, freq)
+        self._speed = max(1, freq)
+        #: work == wall at this speed (the common case: no conversion)
+        self.work_is_wall = self._speed == self.base_freq
 
     def work_to_wall(self, work_ns: int) -> int:
         """Wall-clock ns needed to execute ``work_ns`` base-ns of work."""
-        freq = self._effective_freq()
-        if freq == self.base_freq:
+        if self.work_is_wall:
             return work_ns
-        wall = (work_ns * self.base_freq + freq - 1) // freq
+        speed = self._speed
+        wall = (work_ns * self.base_freq + speed - 1) // speed
         return max(wall, 1) if work_ns > 0 else 0
 
     def wall_to_work(self, wall_ns: int) -> int:
         """Base-ns of work accomplished in ``wall_ns`` at current speed."""
-        freq = self._effective_freq()
-        if freq == self.base_freq:
+        if self.work_is_wall:
             return wall_ns
-        return (wall_ns * freq) // self.base_freq
+        return (wall_ns * self._speed) // self.base_freq
 
     # ------------------------------------------------------------------ #
     # busy/idle bookkeeping (power model hooks)
@@ -95,31 +115,36 @@ class Core:
         if self._busy_since is None:
             # integrate the closing idle interval at its *old* power draw
             self.machine.power.on_core_transition(self)
-            self._settle_sibling_speed(before=True)
+            sib = self.smt_sibling
+            if sib is not None:
+                self._settle_sibling_speed(sib, before=True)
             self._busy_since = self.sim.now
             self.idle_since = None
-            self._settle_sibling_speed(before=False)
+            if sib is not None:
+                self._settle_sibling_speed(sib, before=False)
 
     def mark_idle(self) -> None:
         """Transition busy→idle (runqueue drained)."""
         # integrate the closing busy interval at its *old* power draw
         self.machine.power.on_core_transition(self)
         if self._busy_since is not None:
-            self._settle_sibling_speed(before=True)
+            sib = self.smt_sibling
+            if sib is not None:
+                self._settle_sibling_speed(sib, before=True)
             self.busy_ns += self.sim.now - self._busy_since
             self._busy_since = None
-            self._settle_sibling_speed(before=False)
-        else:
-            self._busy_since = None
+            if sib is not None:
+                self._settle_sibling_speed(sib, before=False)
         self.idle_since = self.sim.now
 
-    def _settle_sibling_speed(self, before: bool) -> None:
+    def _settle_sibling_speed(self, sib: "Core", before: bool) -> None:
         """SMT coupling: this core's busy-state flip changes the
         sibling's execution speed.  Before the flip, charge the
-        sibling's progress at the old speed; after it, re-program its
-        in-flight chunk at the new speed."""
-        sib = self.smt_sibling
-        if sib is None or sib.current is None:
+        sibling's progress at the old speed; after it, open the
+        sibling's new speed epoch and re-program its in-flight chunk."""
+        if not before:
+            sib._refresh_speed()
+        if sib.current is None:
             return
         if before:
             self.machine.scheduler.account_core(sib)

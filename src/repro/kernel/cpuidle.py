@@ -42,7 +42,10 @@ class CpuIdle:
 
     def exit_latency(self, core: Core) -> int:
         """Exit latency (ns) for ``core`` waking right now."""
-        mean = mean_exit_latency_ns(core.idle_duration())
+        idle_ns = core.idle_duration()
+        if idle_ns <= 0:
+            return 0  # no idle interval (re-dispatch at the idle instant)
+        mean = mean_exit_latency_ns(idle_ns)
         if mean <= 0:
             return 0
         scale = mean / self._shape

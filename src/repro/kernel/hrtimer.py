@@ -17,7 +17,6 @@ Timers are armed on the calling thread's core, like Linux pins an
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
 from typing import Callable, Optional
 
 from repro import config
@@ -67,11 +66,7 @@ class HrTimerQueue:
         self.machine = machine
         self.sim = machine.sim
         self.core = core
-        self._armed: dict = {}   # id(timer) -> timer
-        #: lazy min-heap of (expiry, seq, timer); stale entries (timer
-        #: fired or cancelled) are pruned at the top on read, making
-        #: next_expiry() amortized O(1) instead of an O(n) scan
-        self._expiry_heap: list = []
+        self._armed: dict = {}   # id(timer) -> timer (pending only)
         self._arm_seq = 0
         self.fired_count = 0
 
@@ -88,7 +83,6 @@ class HrTimerQueue:
         )
         self._armed[id(timer)] = timer
         self._arm_seq += 1
-        heappush(self._expiry_heap, (expiry, self._arm_seq, timer))
         tracer = self.machine.tracer
         if tracer.enabled:
             tracer.timer_arm(self.core.index, expiry)
@@ -110,14 +104,7 @@ class HrTimerQueue:
 
     def next_expiry(self) -> Optional[int]:
         """Earliest pending expiry on this core (menu-governor input)."""
-        heap = self._expiry_heap
-        while heap:
-            expiry, _, timer = heap[0]
-            if timer.cancelled or timer.fired:
-                heappop(heap)
-                continue
-            return expiry
-        return None
+        return min((t.expiry for t in self._armed.values()), default=None)
 
     # ------------------------------------------------------------------ #
 

@@ -56,22 +56,22 @@ class PowerMeter:
 
         Must be called *before* the caller mutates busy/idle or freq —
         :meth:`Core.mark_busy`/:meth:`mark_idle` call it first, and the
-        governor calls it before writing the new frequency.
+        governor calls it before writing the new frequency.  The draw is
+        the core's cached busy-state watts (``core_power_w`` at its
+        frequency) or the idle floor.
         """
-        self._integrate(core)
-
-    def _integrate(self, core: "Core") -> None:
         now = self.sim.now
-        dt = now - self._last_t[core.index]
+        index = core.index
+        dt = now - self._last_t[index]
         if dt > 0:
-            watts = core_power_w(core.is_busy, core.freq, core.base_freq)
+            watts = core.busy_w if core.is_busy else config.CORE_IDLE_W
             self._energy_j += watts * dt * 1e-9
-            self._last_t[core.index] = now
+            self._last_t[index] = now
 
     def read_joules(self) -> float:
         """Current cumulative package energy (closes all open intervals)."""
         for core in self.machine.cores:
-            self._integrate(core)
+            self.on_core_transition(core)
         pkg = config.PKG_IDLE_W * self.sim.now * 1e-9
         return self._energy_j + pkg
 
@@ -86,8 +86,8 @@ class PowerMeter:
         for core in self.machine.cores:
             dt = now - self._last_t[core.index]
             if dt > 0:
-                pending += core_power_w(core.is_busy, core.freq,
-                                        core.base_freq) * dt * 1e-9
+                watts = core.busy_w if core.is_busy else config.CORE_IDLE_W
+                pending += watts * dt * 1e-9
         pkg = config.PKG_IDLE_W * now * 1e-9
         return self._energy_j + pending + pkg
 

@@ -87,8 +87,9 @@ class CfsScheduler:
         self.sim = machine.sim
         self._cs: List[_CoreSched] = [_CoreSched(c) for c in machine.cores]
         self._switch_rng = machine.streams.stream("sched.switch")
-        #: False during a synchronous dispatch: chunks then complete
-        #: through the calendar (see _dispatch and _advance)
+        #: False during a synchronous dispatch whose caller carries on
+        #: at its instant: chunks then complete through the calendar
+        #: (see _dispatch and _advance)
         self._inline = True
 
     # ------------------------------------------------------------------ #
@@ -107,12 +108,19 @@ class CfsScheduler:
         # defer the first dispatch so spawn() returns before the body runs
         self.sim.call_after(0, self._maybe_dispatch, cs)
 
-    def wake(self, thread: KThread) -> None:
+    def wake(self, thread: KThread, tail: bool = False) -> None:
         """Wake a SLEEPING thread (timer fired, IRQ, notification).
 
         Waking a thread that is already RUNNABLE/RUNNING records a pending
         wake so a subsequent ``Suspend`` returns immediately (lost-wakeup
         protection for IRQ-driven threads).
+
+        ``tail`` declares the wake the caller's last act at this instant
+        (the hr_sleep timer expiry, the XDP IRQ): nothing on the stack
+        acts at the wake instant once it returns, so a dispatch it
+        triggers may complete the woken thread's chunks inline.  Any
+        other waker (a thread body, a loop waking several threads)
+        carries on at the wake instant and must leave ``tail`` off.
         """
         if thread.state in (ThreadState.RUNNING, ThreadState.RUNNABLE):
             thread.pending_wake = True
@@ -132,7 +140,7 @@ class CfsScheduler:
             thread.vruntime = floor
         self._enqueue(cs, thread)
         if cs.core.current is None and cs.switching is None:
-            self._dispatch(cs)
+            self._dispatch(cs, tail)
         else:
             self._check_preempt_wakeup(cs, thread)
 
@@ -231,8 +239,12 @@ class CfsScheduler:
 
         Called after IRQ handlers whose callback turned out not to make
         anything runnable on this core.  A handler window still in
-        flight keeps the core busy; it settles idle when it ends.
+        flight keeps the core busy; it settles idle when it ends.  A
+        core already marked idle at this instant (the woken thread ran
+        inline and went back to sleep) is settled already.
         """
+        if core.idle_since == self.sim.now:
+            return
         cs = self._cs[core.index]
         if (core.current is None and cs.switching is None and cs.rq_len == 0
                 and cs.irq_busy_until <= self.sim.now):
@@ -298,9 +310,9 @@ class CfsScheduler:
             cs.irq_skip = 0
             self.sim.call_at(cs.irq_busy_until, self._irq_idle_done, cs)
 
-    def _dispatch(self, cs: _CoreSched) -> None:
+    def _dispatch(self, cs: _CoreSched, tail: bool = False) -> None:
         """Pick the next thread and begin running it (possibly after a
-        context-switch / C-state-exit delay)."""
+        context-switch / C-state-exit delay).  ``tail``: see :meth:`wake`."""
         thread = self._pop_next(cs)
         core = cs.core
         if thread is None:
@@ -332,6 +344,9 @@ class CfsScheduler:
         cs.switching = thread
         if delay:
             cs.pending_begin = self.sim.call_after(delay, self._begin_run, cs, thread)
+        elif tail:
+            # the waker's callback ends here: the thread may run ahead
+            self._begin_run(cs, thread)
         else:
             # a synchronous dispatch runs inside a caller that resumes
             # once it returns (wake()'s caller, a yielding thread's
@@ -420,55 +435,45 @@ class CfsScheduler:
         preemption can cut the chunk), no stolen IRQ time still to
         splice in, and :meth:`Simulator.advance_to` confirming that no
         event is due at or before the chunk's end.  The clock then moves
-        there, the thread is charged exactly as :meth:`_on_complete`
-        would charge it, and the next action is pulled in the same loop:
-        no calendar entry, no callback.  Any other chunk goes through
-        :meth:`_program_completion`, the general (reference) path.
+        there, the thread is charged in place exactly as
+        :meth:`_on_complete` would charge it, and the next action is
+        pulled in the same loop: no calendar entry, no callback.  Any
+        other chunk goes through :meth:`_program_completion`, the
+        general (reference) path.
         """
         core = cs.core
         sim = self.sim
+        send = thread.body.send
         while True:
             try:
-                action = thread.body.send(thread._send_value)
+                action = send(None)
             except StopIteration as stop:
                 self._exit_thread(cs, thread, stop.value)
                 return
-            thread._send_value = None
             thread.action = action
 
             if isinstance(action, Compute):
-                if action.work_ns == 0:
+                work = action.work_ns
+                if work == 0:
                     continue
-                thread.remaining_work = action.work_ns
                 if thread.cold_penalty == 1:
-                    thread.remaining_work += default_cold_penalty(action.work_ns)
+                    work += default_cold_penalty(work)
                     thread.cold_penalty = 0
-                if (cs.rq_len == 0 and cs.irq_skip == 0 and self._inline
-                        and sim.advance_to(
-                            sim.now + core.work_to_wall(thread.remaining_work))):
-                    self._account(cs)
-                    thread.remaining_work = 0
-                    continue
-                self._program_completion(cs)
-                return
-            if isinstance(action, BusySpin):
+                thread.remaining_work = work
+                end = sim.now + (work if core.work_is_wall
+                                 else core.work_to_wall(work))
+            elif isinstance(action, BusySpin):
                 thread.cold_penalty = 0
-                if action.until <= sim.now:
+                end = action.until
+                if end <= sim.now:
                     continue
-                if (cs.rq_len == 0 and cs.irq_skip == 0 and self._inline
-                        and sim.advance_to(action.until)):
-                    self._account(cs)
-                    thread.remaining_work = 0
-                    continue
-                self._program_completion(cs)
-                return
-            if isinstance(action, Suspend):
-                if getattr(thread, "pending_wake", False):
+            elif isinstance(action, Suspend):
+                if thread.pending_wake:
                     thread.pending_wake = False
                     continue  # wakeup raced ahead: don't sleep
                 self._deschedule(cs, thread, ThreadState.SLEEPING)
                 return
-            if isinstance(action, YieldCpu):
+            elif isinstance(action, YieldCpu):
                 thread.state = ThreadState.RUNNABLE
                 thread.runnable_since = sim.now
                 thread.action = None
@@ -476,10 +481,25 @@ class CfsScheduler:
                 self._enqueue(cs, thread)
                 self._dispatch(cs)
                 return
-            if isinstance(action, Exit):
+            elif isinstance(action, Exit):
                 self._exit_thread(cs, thread, None)
                 return
-            raise RuntimeError(f"{thread} yielded unknown action {action!r}")
+            else:
+                raise RuntimeError(f"{thread} yielded unknown action {action!r}")
+            if (cs.rq_len or cs.irq_skip or not self._inline
+                    or not sim.advance_to(end)):
+                break
+            # _account with no stolen time to skip and an empty runqueue:
+            # charge the whole chunk, and the chunk is done
+            dt = end - cs.acct_mark
+            cs.acct_mark = end
+            thread.cputime_ns += dt
+            vruntime = thread.vruntime + dt * NICE_0_WEIGHT // thread.weight
+            thread.vruntime = vruntime
+            thread.remaining_work = 0
+            if vruntime > cs.min_vruntime:
+                cs.min_vruntime = vruntime
+        self._program_completion(cs)
 
     def _deschedule(self, cs: _CoreSched, thread: KThread, state: ThreadState) -> None:
         tracer = self.machine.tracer

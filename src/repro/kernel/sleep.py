@@ -32,6 +32,7 @@ scheduler dispatch) is shared; see :mod:`repro.kernel.hrtimer` and
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional
 
 from repro import config
@@ -119,7 +120,9 @@ class SleepService:
         # (exactly 0 on the paper's single-node testbed — byte-identical)
         expiry += self.machine.wake_penalty_ns(kt.core)
         queue = self.machine.hrtimers[kt.core.index]
-        timer = queue.arm(expiry, kt.wake)
+        # the wake is the expiry callback's last act: a tail-position wake
+        timer = queue.arm(expiry,
+                          partial(self.machine.scheduler.wake, kt, tail=True))
         if tracer.enabled:
             tracer.sleep_armed(kt, expiry)
         yield Suspend()
@@ -188,12 +191,3 @@ class HrSleep(SleepService):
 
     def expiry_for(self, now: int, duration_ns: int) -> int:
         return now + duration_ns
-
-
-def make_service(machine, name: str) -> SleepService:
-    """Factory: ``"hr_sleep"`` or ``"nanosleep"``."""
-    if name == "hr_sleep":
-        return HrSleep(machine)
-    if name == "nanosleep":
-        return Nanosleep(machine)
-    raise ValueError(f"unknown sleep service {name!r}")

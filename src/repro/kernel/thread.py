@@ -138,8 +138,6 @@ class KThread:
         self.remaining_work: int = 0
         #: current action (None between actions)
         self.action: Any = None
-        #: value to send into the generator on next advance
-        self._send_value: Any = None
         #: one-time cold-cache penalty still to pay (base-frequency ns)
         self.cold_penalty: int = 0
         #: set while the thread sits on a runqueue (heap entry liveness)

@@ -476,8 +476,9 @@ class Simulator:
 
         The caller must be in tail position: nothing still on its call
         stack between the run loop and the caller may act at the old
-        clock after it returns (the scheduler never inlines inside a
-        synchronous dispatch, whose caller carries on at its instant).
+        clock after it returns (the scheduler inlines inside a
+        synchronous dispatch only when the wake that caused it was the
+        last act of its calendar callback).
         """
         if when < self.now:
             raise SimulationError(

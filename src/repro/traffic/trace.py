@@ -14,7 +14,8 @@ Design contract:
 
 * **versioned** — the header carries ``format``/``version``; loaders
   reject anything they do not understand rather than guessing (a
-  record field or header ``count`` that is not a JSON integer too);
+  record field, header ``count`` or phase bound that is not a JSON
+  integer, or a phase name that is not a string, too);
 * **deterministic identity** — :meth:`Trace.sha256` hashes the
   canonical serialization, so generators can be audited as pure
   functions of (spec, seed) and caches can key on content;
@@ -73,8 +74,21 @@ class Phase:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "Phase":
-        return cls(name=d["name"], start_ns=int(d["start_ns"]),
-                   end_ns=int(d["end_ns"]))
+        """A phase from its header form, exactly as written: a string
+        name and 64-bit JSON integer bounds (``bool`` excluded), the
+        rule record fields follow, so a loaded trace hashes like its
+        file."""
+        if not isinstance(d, dict):
+            raise TraceError(f"phase {d!r} is not a JSON object")
+        name = d.get("name")
+        if type(name) is not str:
+            raise TraceError(f"phase name {name!r} is not a string")
+        for key in ("start_ns", "end_ns"):
+            v = d.get(key)
+            if type(v) is not int or v not in _INT64:
+                raise TraceError(f"phase {key} {v!r} is not a 64-bit JSON "
+                                 "integer")
+        return cls(name=name, start_ns=d["start_ns"], end_ns=d["end_ns"])
 
 
 class Trace:
@@ -276,8 +290,14 @@ class Trace:
             raise TraceError(
                 f"header count {count} != {len(records)} records (truncated?)"
             )
+        phases = []
+        for i, p in enumerate(header.get("phases", [])):
+            try:
+                phases.append(Phase.from_dict(p))
+            except TraceError as exc:
+                raise TraceError(f"line 1: phase {i}: {exc}") from None
         trace = cls(
-            phases=[Phase.from_dict(p) for p in header.get("phases", [])],
+            phases=phases,
             records=records,
             meta=header.get("meta", {}),
         )

@@ -104,9 +104,11 @@ class XdpQueueDriver:
         self.machine.sim.call_after(config.XDP_IRQ_NS, self._wake_thread)
 
     def _wake_thread(self) -> None:
+        scheduler = self.machine.scheduler
         if self.thread is not None:
-            self.thread.wake()
-        self.machine.scheduler.settle_idle(self.machine.cores[self.core])
+            # only settle_idle follows: a tail-position wake
+            scheduler.wake(self.thread, tail=True)
+        scheduler.settle_idle(self.machine.cores[self.core])
 
     # ------------------------------------------------------------------ #
 

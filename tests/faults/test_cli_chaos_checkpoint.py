@@ -1,15 +1,27 @@
-"""``repro chaos --checkpoint-before-fault``: the replay-debugging mode.
+"""``repro chaos`` from the command line.
 
-Runs each scenario twice with a snapshot pinned just before the first
-fault window, and verifies that both the checkpoint state and the final
-verdict replay byte-identical.  The saved state is a loadable
-:class:`~repro.sim.snapshot.MachineState`.
+The plain verdict table, then ``--checkpoint-before-fault``, the
+replay-debugging mode: it runs each scenario twice with a snapshot
+pinned just before the first fault window, and verifies that both the
+checkpoint state and the final verdict replay byte-identical.  The saved
+state is a loadable :class:`~repro.sim.snapshot.MachineState`.
 """
 
 import json
 
 from repro.cli import main
 from repro.sim.snapshot import SNAPSHOT_VERSION, MachineState
+
+
+def test_verdict_table(capsys):
+    rc = main(["chaos", "timer-misses", "--seed", "7", "--duration-ms", "10"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "chaos — 10 ms per run" in out
+    row = next(line for line in out.splitlines()
+               if line.startswith("timer-misses"))
+    assert [cell.strip() for cell in row.split("|")][:3] == [
+        "timer-misses", "7", "ok"]
 
 
 def test_checkpoint_before_fault_replays_identical(tmp_path, capsys):

@@ -11,15 +11,23 @@ both paths must agree on every observable — per-thread and per-core
 accounting, energy, ``events_scheduled``, checkpoint snapshots and
 monitor results.  This is the calendar-vs-``HeapSimulator`` pattern of
 ``tests/sim/test_core_properties.py`` one layer up.
+
+The drawn programs include tail-position wakes (an hrtimer expiry and an
+XDP-style interrupt, whose callbacks end with the wake), which may
+inline the woken thread's chunks.  The per-core speed cache is pinned
+against the uncached formula.
 """
 
 from contextlib import contextmanager
+from functools import partial
 from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.kernel.power import core_power_w
 from repro.kernel.thread import BusySpin, Compute, Exit, Suspend, YieldCpu
 from repro.sim.core import SimulationError, Simulator
 from repro.sim.units import MS, US
@@ -59,8 +67,14 @@ def counting_inlines(counter):
 _ACTION = st.one_of(
     st.tuples(st.just("compute"), st.integers(1, 300 * US)),
     st.tuples(st.just("spin"), st.integers(0, 300 * US)),
-    # raw hrtimer + Suspend: the timer callback is the thread's wake
-    st.tuples(st.just("timer"), st.integers(0, 200 * US)),
+    # raw hrtimer + Suspend: the timer callback is the thread's wake,
+    # a tail-position one (as hr_sleep arms it) or a plain kt.wake
+    st.tuples(st.just("timer"),
+              st.tuples(st.integers(0, 200 * US), st.booleans())),
+    # an XDP-style interrupt on the thread's core after a delay, then
+    # Suspend: handler time, then a tail-position wake from a callback
+    st.tuples(st.just("irq"),
+              st.tuples(st.integers(0, 200 * US), st.integers(1, 20 * US))),
     # the hr_sleep service: jittered preamble/postamble around a sleep
     st.tuples(st.just("hr_sleep"), st.integers(0, 200 * US)),
     st.tuples(st.just("yield"), st.just(0)),
@@ -107,6 +121,23 @@ _DEPLOYMENT = st.fixed_dictionaries({
 })
 
 
+def irq_wake(machine, thread, handler_ns, tail=True):
+    """An interrupt for ``thread``, shaped like XdpQueueDriver's
+    ``_deliver_irq``/``_wake_thread``: handler time on the thread's core
+    (an idle-context window when the core is idle), then a calendar
+    callback whose last acts are the wake (tail-position unless ``tail``
+    is off) and ``settle_idle``."""
+    core = thread.core
+    scheduler = machine.scheduler
+
+    def wake():
+        scheduler.wake(thread, tail=tail)
+        scheduler.settle_idle(core)
+
+    core.inject_irq_time(handler_ns)
+    machine.sim.call_after(handler_ns, wake)
+
+
 def _body(machine, actions, forever):
     threads = machine.threads
 
@@ -120,8 +151,14 @@ def _body(machine, actions, forever):
                 elif kind == "spin":
                     yield BusySpin(sim.now + arg)
                 elif kind == "timer":
-                    machine.hrtimers[kt.core.index].arm(sim.now + arg,
-                                                        kt.wake)
+                    delay, tail = arg
+                    wake = (partial(machine.scheduler.wake, kt, tail=True)
+                            if tail else kt.wake)
+                    machine.hrtimers[kt.core.index].arm(sim.now + delay, wake)
+                    yield Suspend()
+                elif kind == "irq":
+                    delay, handler_ns = arg
+                    sim.call_after(delay, irq_wake, machine, kt, handler_ns)
                     yield Suspend()
                 elif kind == "hr_sleep":
                     yield from service.call(kt, arg)
@@ -205,10 +242,12 @@ def test_inline_path_is_exercised_and_identical():
         "threads": [
             (0, 0, [("compute", 20 * US), ("spin", 15 * US),
                     ("hr_sleep", 50 * US)], True),
-            (1, -5, [("compute", 5 * US), ("timer", 30 * US),
+            (1, -5, [("compute", 5 * US), ("timer", (30 * US, True)),
                      ("yield", 0)], True),
             (1, 19, [("compute", 400 * US)], True),
-            (2, 0, [("spin", 80 * US), ("compute", 3 * US)], True),
+            (2, 0, [("spin", 80 * US), ("compute", 3 * US),
+                    ("irq", (40 * US, 2 * US)),
+                    ("timer", (25 * US, False))], True),
         ],
         "governor": "ondemand",
         "smt": True,
@@ -379,3 +418,198 @@ def test_refusal_keeps_event_count():
     assert inlined[0] == 99        # all but the first chunk
     assert fast == reference
     assert fast[1] == 50 * 3_000
+
+
+# ---------------------------------------------------------------------- #
+# tail-position wakes
+# ---------------------------------------------------------------------- #
+
+def _sleeper(work_ns):
+    """Sleep, then one chunk of work per wake."""
+    def body(kt):
+        while True:
+            yield Suspend()
+            yield Compute(work_ns)
+    return body
+
+
+def _inlines_after_irq_wake(tail, setup=None):
+    """Run one sleeper on an idle core woken at 100 µs by
+    :func:`irq_wake` (with or without ``tail``); return the inline count
+    and the observables."""
+    m = make_machine(num_cores=2)
+    m.enable_checks()
+    t = m.spawn(_sleeper(5 * US), name="s", core=0)
+    if setup is not None:
+        setup(m, t)
+    m.sim.call_at(100 * US, irq_wake, m, t, 2 * US, tail)
+    inlined = [0]
+    with counting_inlines(inlined):
+        m.run(until=1 * MS)
+    m.checks.quiesce()
+    return inlined[0], _observe(m)
+
+
+def test_tail_wake_on_idle_core_inlines_first_chunk():
+    inlined, fast = _inlines_after_irq_wake(tail=True)
+    plain, reference = _inlines_after_irq_wake(tail=False)
+    assert (inlined, plain) == (1, 0)
+    assert fast == reference
+    assert fast["threads"][0][2] == 5 * US        # cputime
+    assert fast["violations"] == []
+
+
+def test_tail_wake_onto_core_with_runnable_thread_does_not_inline():
+    """A second thread keeps the runqueue non-empty (``rq_len > 0``):
+    the tail flag changes nothing."""
+    def hog(m, _t):
+        def body(kt):
+            while True:
+                yield Compute(30 * US)
+        m.spawn(body, name="hog", core=0, nice=19)
+
+    tail = _inlines_after_irq_wake(tail=True, setup=hog)
+    plain = _inlines_after_irq_wake(tail=False, setup=hog)
+    assert tail == plain
+
+
+def test_tail_wake_during_pending_irq_window_does_not_inline():
+    """A handler still in flight on the core delays the dispatch: the
+    woken thread starts from the calendar, tail flag or not."""
+    def second_irq(m, _t):
+        # a longer handler on core 0 overlapping the wake instant
+        m.sim.call_at(101 * US, m.cores[0].inject_irq_time, 10 * US)
+
+    tail = _inlines_after_irq_wake(tail=True, setup=second_irq)
+    plain = _inlines_after_irq_wake(tail=False, setup=second_irq)
+    assert tail == plain
+
+
+def test_two_wakes_from_one_callback_do_not_inline():
+    """A callback that wakes several threads (the watchdog's loop) uses
+    plain wakes: each woken thread's first chunk waits on the calendar
+    and the callback keeps its instant."""
+    m = make_machine(num_cores=2)
+    threads = [m.spawn(_sleeper(5 * US), name=f"s{i}", core=i)
+               for i in range(2)]
+    seen = []
+
+    def wake_both():
+        for t in threads:
+            t.wake()
+            seen.append(m.sim.now)
+
+    def deliver():
+        # idle-context handlers on both cores end at the wake instant,
+        # so both dispatches are synchronous
+        for core in m.cores:
+            core.inject_irq_time(2 * US)
+        m.sim.call_after(2 * US, wake_both)
+
+    m.sim.call_at(100 * US, deliver)
+    inlined = [0]
+    with counting_inlines(inlined):
+        m.run(until=1 * MS)
+    assert inlined[0] == 0
+    assert seen == [102 * US, 102 * US]
+    assert [t.cputime_ns for t in threads] == [5 * US, 5 * US]
+
+
+def test_settle_idle_after_inlined_chain_changes_nothing():
+    m = make_machine(num_cores=1)
+    t = m.spawn(_sleeper(5 * US), name="s", core=0)
+    core = t.core
+    sched = m.scheduler
+    states = []
+
+    def state():
+        return (core.is_busy, core.idle_since, core.total_busy_ns(),
+                m.power._energy_j, list(m.power._last_t), m.sim.now)
+
+    def wake():
+        sched.wake(t, tail=True)
+        states.append(state())
+        sched.settle_idle(core)
+        states.append(state())
+        # what the early return skips: re-marking idle at this instant
+        core.mark_idle()
+        states.append(state())
+
+    def deliver():
+        core.inject_irq_time(2 * US)
+        m.sim.call_after(2 * US, wake)
+
+    m.sim.call_at(100 * US, deliver)
+    m.run(until=1 * MS)
+    # the chain ran inline: the thread worked and went back to sleep
+    assert states[0][:2] == (False, 107 * US) and states[0][-1] == 107 * US
+    assert states[0] == states[1] == states[2]
+
+
+# ---------------------------------------------------------------------- #
+# one speed per core epoch
+# ---------------------------------------------------------------------- #
+
+def _reference_speed(core):
+    """The uncached execution speed (the formula the cache replaced)."""
+    freq = core.freq
+    sib = core.smt_sibling
+    if sib is not None and sib.is_busy:
+        freq = int(freq * config.SMT_SLOWDOWN)
+    return max(1, freq)
+
+
+def _assert_speed_matches_reference(core):
+    speed = _reference_speed(core)
+    base = core.base_freq
+    for n in (0, 1, 7, 999, 65_536, 10**6, 123_456_789):
+        if speed == base:
+            wall, work = n, n
+        else:
+            wall = (n * base + speed - 1) // speed
+            wall = max(wall, 1) if n > 0 else 0
+            work = (n * speed) // base
+        assert core.work_to_wall(n) == wall
+        assert core.wall_to_work(n) == work
+    assert core.busy_w == core_power_w(True, core.freq, base)
+
+
+def test_speed_cache_follows_direct_freq_writes():
+    m = make_machine(num_cores=2)
+    core = m.cores[0]
+    for hz in (core.base_freq, core.base_freq // 3, 800_000_000,
+               core.base_freq - 1, core.base_freq):
+        core.freq = hz
+        _assert_speed_matches_reference(core)
+
+
+def test_speed_cache_follows_smt_sibling_flips():
+    m = make_machine(num_cores=2, smt_pairs=[(0, 1)])
+    core, sib = m.cores
+    core.freq = core.base_freq // 2
+    for flip in (sib.mark_busy, sib.mark_idle, sib.mark_busy,
+                 core.mark_busy, sib.mark_idle):
+        flip()
+        _assert_speed_matches_reference(core)
+        _assert_speed_matches_reference(sib)
+
+
+def test_speed_cache_follows_ondemand_steps():
+    m = make_machine(num_cores=2, governor="ondemand", smt_pairs=[(0, 1)])
+
+    def bursty(kt):
+        while True:
+            yield Compute(3 * MS)
+            m.hrtimers[kt.core.index].arm(
+                m.sim.now + 9 * MS, partial(m.scheduler.wake, kt, tail=True))
+            yield Suspend()
+
+    m.spawn(bursty, name="b0", core=0)
+    m.spawn(bursty, name="b1", core=1)
+    freqs = set()
+    for step in range(1, 13):
+        m.run(until=step * 10 * MS + 1)
+        freqs.update(c.freq for c in m.cores)
+        for c in m.cores:
+            _assert_speed_matches_reference(c)
+    assert len(freqs) > 1    # the governor really stepped

@@ -54,6 +54,24 @@ def test_busy_core_draws_more_energy():
     assert math.isclose(extra, expected, rel_tol=0.05)
 
 
+def test_busy_energy_uses_the_current_frequency():
+    """A busy interval is charged at the busy-state draw of the core's
+    frequency (the core caches it on every frequency write)."""
+    m = make_machine(num_cores=1)
+    half = config.BASE_FREQ_HZ // 2
+    m.cores[0].freq = half
+
+    def hog(kt):
+        yield BusySpin(100 * MS)
+        yield Exit()
+
+    m.spawn(hog, name="hog", core=0)
+    m.run(until=100 * MS)
+    busy_w = core_power_w(True, half, config.BASE_FREQ_HZ)
+    expected = (config.PKG_IDLE_W + busy_w) * 0.1
+    assert math.isclose(m.energy_joules(), expected, rel_tol=1e-9)
+
+
 def test_ondemand_lowers_frequency_when_idle():
     m = make_machine(num_cores=2, governor="ondemand")
     m.run(until=50 * MS)

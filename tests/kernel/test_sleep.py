@@ -151,13 +151,11 @@ def test_sleep_cputime_excludes_sleep_interval():
     assert t.cputime_ns < 300 * US
 
 
-def test_make_service_factory(machine):
-    from repro.kernel.sleep import HrSleep, Nanosleep, make_service
+def test_sleep_service_factory(machine):
+    from repro.kernel.sleep import HrSleep, Nanosleep
 
-    assert isinstance(make_service(machine, "hr_sleep"), HrSleep)
-    assert isinstance(make_service(machine, "nanosleep"), Nanosleep)
-    with pytest.raises(ValueError):
-        make_service(machine, "powernap")
+    assert isinstance(machine.sleep_service("hr_sleep"), HrSleep)
+    assert isinstance(machine.sleep_service("nanosleep"), Nanosleep)
 
 
 # --------------------------------------------------------------------- #

@@ -157,6 +157,28 @@ def test_loads_rejects_non_integer_count(count):
         Trace.loads(text)
 
 
+@pytest.mark.parametrize("index,phase", [
+    (0, '{"name":"a","start_ns":true,"end_ns":4.9}'),
+    (1, '{"name":"b","start_ns":5,"end_ns":10.9}'),
+    (1, '{"name":"b","start_ns":"5","end_ns":10}'),
+    (1, '{"name":"b","start_ns":5,"end_ns":9223372036854775808}'),
+    (1, '{"name":"b","start_ns":5}'),
+    (1, '{"name":7,"start_ns":5,"end_ns":10}'),
+    (1, '[5,10]'),
+])
+def test_loads_rejects_non_integer_phase_fields(index, phase):
+    """Phase bounds follow the record-field rule (and a name must be a
+    string): coercing ``true``/``4.9`` would load a trace whose sha256
+    no longer matches its file."""
+    text = Trace(phases=[Phase("a", 0, 5), Phase("b", 5, 10)],
+                 records=[(1, 64, 0)]).dumps()
+    written = ['{"end_ns":5,"name":"a","start_ns":0}',
+               '{"end_ns":10,"name":"b","start_ns":5}'][index]
+    assert written in text
+    with pytest.raises(TraceError, match=f"line 1: phase {index}: "):
+        Trace.loads(text.replace(written, phase))
+
+
 def test_gzip_file_is_actually_gzip(tmp_path):
     path = str(tmp_path / "t.gz")
     small_trace().dump(path)
