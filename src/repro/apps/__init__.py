@@ -15,32 +15,21 @@
 """
 
 from repro.apps.aes import AES128, AesCbc
-from repro.apps.cuckoo import CuckooHash
 from repro.apps.ferret import FerretWorkload
-from repro.apps.flowatcher import (
-    CountMinSketch,
-    FloWatcherApp,
-    FloWatcherRxApp,
-    FloWatcherStatsThread,
-)
-from repro.apps.ipsec import IpsecGatewayApp, IpsecInboundApp
-from repro.apps.l3fwd import L3FwdApp, L3FwdEmApp
+from repro.apps.flowatcher import CountMinSketch, FloWatcherApp
+from repro.apps.ipsec import IpsecGatewayApp
+from repro.apps.l3fwd import L3FwdApp
 from repro.apps.lpm import Dir24_8, LpmTrie
 from repro.apps.pacer import SleepPacer
 
 __all__ = [
     "LpmTrie",
     "Dir24_8",
-    "CuckooHash",
     "L3FwdApp",
-    "L3FwdEmApp",
     "AES128",
     "AesCbc",
     "IpsecGatewayApp",
-    "IpsecInboundApp",
     "FloWatcherApp",
-    "FloWatcherRxApp",
-    "FloWatcherStatsThread",
     "CountMinSketch",
     "FerretWorkload",
     "SleepPacer",

@@ -130,80 +130,3 @@ class FloWatcherApp(PacketApp):
             "flows": self.flow_count,
             "bytes": self.bytes,
         }
-
-
-class FloWatcherRxApp(PacketApp):
-    """The receive half of FloWatcher's *pipeline* deployment.
-
-    The paper (§5.7) notes FloWatcher can run run-to-completion — the
-    mode evaluated there, and :class:`FloWatcherApp` here — or as a
-    pipeline, with the Rx thread handing packets to a separate
-    statistics thread over an rte_ring.  This class is the Rx half: it
-    forwards tagged packets into an SPSC ring; per-packet Rx cost drops
-    to near-l3fwd levels since the accounting moved off the hot thread.
-    """
-
-    name = "flowatcher-rx"
-    per_packet_ns = config.L3FWD_PKT_NS
-
-    def __init__(self, ring: "SpscRing"):  # noqa: F821
-        self.ring = ring
-        self.forwarded = 0
-        self.ring_drops = 0
-
-    def handle(self, tagged: List[TaggedPacket]) -> None:
-        if not tagged:
-            return
-        accepted = self.ring.enqueue_burst(tagged)
-        self.forwarded += accepted
-        self.ring_drops += len(tagged) - accepted
-
-    def stats(self) -> dict:
-        return {"forwarded": self.forwarded, "ring_drops": self.ring_drops}
-
-
-class FloWatcherStatsThread:
-    """The consumer half of the pipeline: drains the ring into a
-    :class:`FloWatcherApp`, sleeping (hr_sleep) when the ring runs dry
-    — a second, smaller instance of the paper's sleep&wake idea."""
-
-    #: per-item accounting cost on the stats core
-    PER_ITEM_NS = 90
-    #: sleep when the ring is empty
-    IDLE_SLEEP_NS = 20_000
-
-    def __init__(
-        self,
-        machine: "Machine",  # noqa: F821
-        ring: "SpscRing",    # noqa: F821
-        app: "FloWatcherApp",
-        core: int,
-        sleep_service: str = "hr_sleep",
-        burst: int = 64,
-    ):
-        self.machine = machine
-        self.ring = ring
-        self.app = app
-        self.core = core
-        self.burst = burst
-        self.service = machine.sleep_service(sleep_service)
-        self.thread = None
-        self.drained = 0
-
-    def start(self):
-        self.thread = self.machine.spawn(
-            self._body, name="flowatcher-stats", core=self.core
-        )
-        return self.thread
-
-    def _body(self, kt):
-        from repro.kernel.thread import Compute
-
-        while True:
-            items = self.ring.dequeue_burst(self.burst)
-            if items:
-                yield Compute(len(items) * self.PER_ITEM_NS)
-                self.app.handle(items)
-                self.drained += len(items)
-            else:
-                yield from self.service.call(kt, self.IDLE_SLEEP_NS)

@@ -144,89 +144,3 @@ class IpsecGatewayApp(PacketApp):
             "bypassed": self.bypassed,
             "sas": len(self.sas),
         }
-
-
-class IpsecInboundApp(PacketApp):
-    """The inbound half of the gateway: ESP decapsulation + anti-replay.
-
-    The paper's ipsec-secgw serves "both inbound and outbound network
-    traffic"; this is the protected-port direction.  Tagged packets are
-    mapped to real ESP datagrams (produced by a paired outbound
-    gateway, keyed by flow), decrypted, integrity-checked against the
-    expected plaintext, and run through the RFC 4303 anti-replay window.
-    """
-
-    name = "ipsec-inbound"
-    per_packet_ns = config.IPSEC_PKT_NS
-    REPLAY_WINDOW = 64
-
-    def __init__(self, outbound: IpsecGatewayApp):
-        self.outbound = outbound
-        self.decapsulated = 0
-        self.auth_failures = 0
-        self.replays_rejected = 0
-        #: highest sequence seen + bitmap window, per SPI
-        self._replay: Dict[int, Tuple[int, int]] = {}
-        #: pre-built datagram cache keyed by flow (fresh seq per build)
-        self._datagram_cache: Dict[Tuple, bytes] = {}
-
-    # ------------------------------------------------------------------ #
-
-    def _datagram_for(self, pkt: TaggedPacket) -> Optional[bytes]:
-        """Obtain the on-the-wire ESP datagram this packet represents."""
-        key = pkt.header.flow_key
-        datagram = self._datagram_cache.pop(key, None)
-        if datagram is None:
-            datagram = self.outbound.encapsulate(pkt.header)
-        return datagram
-
-    def check_replay(self, spi: int, seq: int) -> bool:
-        """RFC 4303 sliding-window check; True if the packet is fresh."""
-        top, bitmap = self._replay.get(spi, (0, 0))
-        if seq > top:
-            shift = seq - top
-            bitmap = ((bitmap << shift) | 1) & ((1 << self.REPLAY_WINDOW) - 1)
-            self._replay[spi] = (seq, bitmap)
-            return True
-        offset = top - seq
-        if offset >= self.REPLAY_WINDOW:
-            return False
-        if bitmap & (1 << offset):
-            return False
-        self._replay[spi] = (top, bitmap | (1 << offset))
-        return True
-
-    def process_datagram(self, datagram: bytes, expected: bytes) -> bool:
-        """Full inbound path for one ESP datagram."""
-        spi, _seq = ESP_HEADER.unpack_from(datagram)
-        seq = _seq
-        try:
-            got_spi, plaintext = self.outbound.decapsulate(datagram)
-        except (KeyError, ValueError):
-            self.auth_failures += 1
-            return False
-        if got_spi != spi or plaintext != expected:
-            self.auth_failures += 1
-            return False
-        if not self.check_replay(spi, seq):
-            self.replays_rejected += 1
-            return False
-        self.decapsulated += 1
-        return True
-
-    def handle(self, tagged: List[TaggedPacket]) -> None:
-        for pkt in tagged:
-            datagram = self._datagram_for(pkt)
-            if datagram is None:
-                self.auth_failures += 1
-                continue
-            self.process_datagram(
-                datagram, self.outbound.synth_payload(pkt.header)
-            )
-
-    def stats(self) -> dict:
-        return {
-            "decapsulated": self.decapsulated,
-            "auth_failures": self.auth_failures,
-            "replays_rejected": self.replays_rejected,
-        }

@@ -81,54 +81,3 @@ class L3FwdApp(PacketApp):
             "forwarded": list(self.forwarded),
             "routes": self.table.size,
         }
-
-
-class L3FwdEmApp(PacketApp):
-    """The exact-match (EM) l3fwd mode: a cuckoo hash on the 5-tuple.
-
-    The paper chose LPM for the evaluation ("the most
-    computation-expensive" of the two); EM is provided for completeness
-    and for the per-packet-cost ablation.  EM's per-packet cost is
-    slightly lower than LPM's (one hash + at most two bucket probes vs.
-    two dependent memory references and a rewrite).
-    """
-
-    name = "l3fwd-em"
-    per_packet_ns = max(1, config.L3FWD_PKT_NS - 4)
-
-    def __init__(self, flows: Optional[FlowSet] = None, num_ports: int = 2):
-        from repro.apps.cuckoo import CuckooHash
-
-        self.num_ports = max(1, num_ports)
-        self.table = CuckooHash(capacity=8192)
-        self.lookups = 0
-        self.misses = 0
-        self.forwarded = [0] * self.num_ports
-        if flows is not None:
-            self.populate_from_flows(flows)
-
-    def populate_from_flows(self, flows: FlowSet) -> None:
-        """Install one exact 5-tuple entry per flow."""
-        for flow_id in range(flows.num_flows):
-            header = flows.header_of_flow(flow_id)
-            self.table.insert(header.flow_key, flow_id % self.num_ports)
-
-    def add_flow(self, key: tuple, port: int) -> None:
-        self.table.insert(key, port)
-
-    def handle(self, tagged: List[TaggedPacket]) -> None:
-        for pkt in tagged:
-            self.lookups += 1
-            port = self.table.get(pkt.header.flow_key)
-            if port is None:
-                self.misses += 1
-            else:
-                self.forwarded[port] += 1
-
-    def stats(self) -> dict:
-        return {
-            "lookups": self.lookups,
-            "misses": self.misses,
-            "forwarded": list(self.forwarded),
-            "flows": len(self.table),
-        }

@@ -230,8 +230,8 @@ class CheckRegistry:
         """``thread`` was just popped from ``cs``'s runqueue.
 
         ``cs`` is duck-typed per-core scheduler state: ``runqueue``
-        entries are ``[vruntime, seq, thread-or-None]`` and
-        ``min_vruntime`` is the core's monotone floor.
+        entries are ``(vruntime, seq, thread)`` and ``min_vruntime`` is
+        the core's monotone floor.
         """
         if not self._sched:
             return
@@ -246,20 +246,19 @@ class CheckRegistry:
             )
         weight = thread.weight
         spread_v = self._spread_wall_ns * NICE_0_WEIGHT // weight
-        for entry in cs.runqueue:
-            other = entry[2]
-            if other is None or other.weight != weight:
+        for other_v, _seq, other in cs.runqueue:
+            if other.weight != weight:
                 continue
-            if entry[0] < v:
+            if other_v < v:
                 self.violation(
                     "sched", "pick-is-min", thread.name,
                     f"picked vruntime {v} but same-weight {other.name} "
-                    f"waits at {entry[0]}",
+                    f"waits at {other_v}",
                 )
-            elif entry[0] - v > spread_v:
+            elif other_v - v > spread_v:
                 self.violation(
                     "sched", "fairness-spread", thread.name,
-                    f"same-weight runnable spread {entry[0] - v} "
+                    f"same-weight runnable spread {other_v - v} "
                     f"(vs {other.name}) exceeds bound {spread_v}",
                 )
 

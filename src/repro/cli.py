@@ -8,10 +8,12 @@
     python -m repro quickstart
     python -m repro trace quickstart --out trace.json
 
-Each experiment prints the same table its benchmark archives; ``--fast``
-cuts durations ~4x for a quick look.  ``trace`` re-runs a system with
-nanosecond event tracing on, exports a Chrome trace-event JSON (load it
-in Perfetto / chrome://tracing) and prints the wake-latency anatomy.
+Each experiment prints the same table its benchmark archives (the
+campaign registry's figures render through the registry itself);
+``--fast`` cuts durations ~4x for a quick look.  ``trace`` re-runs a
+system with nanosecond event tracing on, exports a Chrome trace-event
+JSON (load it in Perfetto / chrome://tracing) and prints the
+wake-latency anatomy.
 """
 
 from __future__ import annotations
@@ -22,52 +24,10 @@ import sys
 from typing import Callable, Dict, List
 
 from repro import config
+from repro.campaign import FIGURES, render_figure, run_figure
 from repro.harness import extensions, scenarios
 from repro.harness.report import render_table
 from repro.harness.scaling import FAST_SCALE, scaled
-
-
-def _table1(duration_scale: float, seed: int) -> str:
-    from repro.harness.paper_data import TABLE1
-
-    rows = scenarios.table1_sleep_precision(
-        samples=scaled(10_000, duration_scale, 500), seed=seed)
-    table = [
-        (s, t, m, TABLE1[(s, t)][0], p, TABLE1[(s, t)][1])
-        for s, t, m, p in rows
-    ]
-    return render_table(
-        "Table 1 — sleep precision (us)",
-        ["service", "target", "mean", "paper", "99p", "paper"],
-        table,
-    )
-
-
-def _table2(duration_scale: float, seed: int) -> str:
-    from repro.harness.paper_data import TABLE2
-
-    rows = scenarios.table2_vbar_sweep(
-        duration_ms=scaled(100, duration_scale, 20), seed=seed)
-    table = [
-        (v, mv, TABLE2[v][0], b, TABLE2[v][1], nv, TABLE2[v][2], loss)
-        for v, mv, b, nv, loss in rows
-    ]
-    return render_table(
-        "Table 2 — V̄ sweep at line rate",
-        ["target V", "V us", "paper", "B us", "paper", "N_V", "paper",
-         "loss permille"],
-        table,
-    )
-
-
-def _table3(duration_scale: float, seed: int) -> str:
-    rows = scenarios.table3_nanosleep_loss(
-        duration_ms=scaled(100, duration_scale, 20), seed=seed)
-    return render_table(
-        "Table 3 — nanosleep loss at 10 Gbps (%)",
-        ["ring", "V̄ us", "nanosleep %", "hr_sleep %"],
-        rows,
-    )
 
 
 def _fig2(duration_scale: float, seed: int) -> str:
@@ -93,40 +53,6 @@ def _fig5(duration_scale: float, seed: int) -> str:
         "Figure 5 — vacation PDF: simulation vs eq. (9)",
         ["M", "V us", "empirical", "model"],
         rows,
-    )
-
-
-def _fig6(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig6_latency_cpu(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 6 — latency & CPU vs V̄",
-        ["gbps", "V̄ us", "mean lat us", "p99 us", "cpu"],
-        rows,
-    )
-
-
-def _fig7(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig7_tl_sweep(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table("Figure 7 — T_L sweep",
-                        ["T_L us", "busy tries", "cpu"], rows)
-
-
-def _fig8(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig8_m_sweep(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table("Figure 8 — M sweep",
-                        ["M", "busy tries", "cpu"], rows)
-
-
-def _fig9(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig9_latency_vs_m(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 9 — latency vs M",
-        ["rate Mpps", "M", "median us", "p99 us", "std us"],
-        [(r, m, b["median"], b["p99"], b["std"]) for r, m, b in rows],
     )
 
 
@@ -168,26 +94,6 @@ def _fig11(duration_scale: float, seed: int) -> str:
                           ("rho", "rho"), ("cpu", "cpu"))
     )
     return table + "\n\ntrajectories:\n" + extras
-
-
-def _fig12(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig12_compare(
-        duration_ms=scaled(60, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 12 — Metronome vs DPDK vs XDP",
-        ["system", "gbps", "mean lat us", "p99 us", "cpu", "loss %"],
-        rows,
-    )
-
-
-def _fig13(duration_scale: float, seed: int) -> str:
-    rows = scenarios.fig13_power_governors(
-        duration_ms=scaled(80, duration_scale, 20), seed=seed)
-    return render_table(
-        "Figure 13 — power vs rate per governor",
-        ["governor", "system", "gbps", "watts", "cpu"],
-        rows,
-    )
 
 
 def _fig14(duration_scale: float, seed: int) -> str:
@@ -713,20 +619,19 @@ def _trace_cmd(args) -> int:
     return 1 if problems else 0
 
 
+def _registered(name: str) -> Callable[[float, int], str]:
+    """``repro run`` for a campaign-registry figure: its own table."""
+    def run(duration_scale: float, seed: int) -> str:
+        return render_figure(name, run_figure(name, duration_scale, seed))
+    return run
+
+
 EXPERIMENTS: Dict[str, Callable[[float, int], str]] = {
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
+    **{name: _registered(name) for name in FIGURES},
     "fig2": _fig2,
     "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
     "fig10": _fig10,
     "fig11": _fig11,
-    "fig12": _fig12,
-    "fig13": _fig13,
     "fig14": _fig14,
     "fig15": _fig15,
     "rotation": _rotation,

@@ -14,7 +14,7 @@ of the experiment that uses them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.sim.units import MS, SEC, US
 
@@ -276,20 +276,14 @@ class SimConfig:
     """
 
     seed: int = DEFAULT_SEED
-    base_freq_hz: int = BASE_FREQ_HZ
-    min_freq_hz: int = MIN_FREQ_HZ
     governor: str = "performance"
     num_cores: int = 6
     #: optional SMT topology: list of (core_a, core_b) sibling pairs
     smt_pairs: list = None
     #: NUMA sockets the cores are split across (contiguous blocks);
     #: 1 = the paper's isolated single node, where every cross-socket
-    #: penalty below is structurally inert (docs/SCALE.md)
+    #: penalty above is structurally inert (docs/SCALE.md)
     numa_nodes: int = 1
-    cross_socket_wake_ns: int = CROSS_SOCKET_WAKE_NS
-    numa_remote_burst_ns: int = NUMA_REMOTE_BURST_NS
-    numa_remote_pkt_ns: int = NUMA_REMOTE_PKT_NS
-    numa_remote_trylock_ns: int = NUMA_REMOTE_TRYLOCK_NS
     rx_ring_size: int = DEFAULT_RX_RING
     rx_burst: int = RX_BURST
     tx_batch: int = DEFAULT_TX_BATCH
@@ -300,4 +294,3 @@ class SimConfig:
     latency_sample_every: int = LATENCY_SAMPLE_EVERY
     os_noise: bool = True
     timer_slack_ns: int = TIMER_SLACK_NS
-    extra: dict = field(default_factory=dict)

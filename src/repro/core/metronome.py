@@ -117,7 +117,6 @@ class MetronomeGroup:
         cores: Optional[List[int]] = None,
         nice: int = 0,
         iterations: Optional[int] = None,
-        flush_before_sleep: bool = False,
         name: str = "metronome",
         rotate_scan: bool = True,
         watchdog: Optional[WatchdogConfig] = None,
@@ -136,7 +135,6 @@ class MetronomeGroup:
         self.nice = nice
         self.burst = cfg.rx_burst
         self.iterations = iterations
-        self.flush_before_sleep = flush_before_sleep
         self.name = name
         self.tuner: TunerBase = tuner or AdaptiveTuner(
             vbar_ns=cfg.vbar_ns, tl_ns=cfg.tl_ns, m=self.m, alpha=cfg.alpha
@@ -286,7 +284,6 @@ class MetronomeGroup:
         sim = self.machine.sim
         service = self.service
         tracer = self.machine.tracer
-        cfg = self.machine.cfg
         nq = len(self.shared)
         # NUMA memory penalties per queue, aligned with self.shared:
         # (trylock, per-burst, per-packet) surcharges when the queue's
@@ -296,9 +293,9 @@ class MetronomeGroup:
         my_node = kt.core.node
         penalties = [
             (0, 0, 0) if sq.node == my_node else (
-                cfg.numa_remote_trylock_ns,
-                cfg.numa_remote_burst_ns,
-                cfg.numa_remote_pkt_ns,
+                config.NUMA_REMOTE_TRYLOCK_NS,
+                config.NUMA_REMOTE_BURST_NS,
+                config.NUMA_REMOTE_PKT_NS,
             )
             for sq in self.shared
         ]
@@ -357,9 +354,6 @@ class MetronomeGroup:
                     yield Compute(cost)
                     self.app.handle(tagged)
                     sq.txbuf.enqueue(n, tagged)
-                if self.flush_before_sleep and sq.txbuf.pending:
-                    sq.txbuf.flush()
-                    yield Compute(config.TX_FLUSH_NS)
                 record = sq.tracker.end_busy(sim.now, stats.name)
                 sq.cycles.add(record)
                 self.tuner.observe(record)

@@ -14,10 +14,17 @@ constant T_S (Figures 5, 7, 8).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.cycles import CycleRecord
 from repro.core.model import rho_from_periods, ts_for_target_vacation
+
+#: overload lifts once ρ falls back to this, well below the entry level
+OVERLOAD_EXIT = 0.85
+#: consecutive cycles at or above the entry level before overload
+OVERLOAD_HOLD_CYCLES = 8
+#: floor of the overload T_S, which is otherwise V̄/4
+OVERLOAD_TS_FLOOR_NS = 1_000
 
 
 class TunerBase:
@@ -61,12 +68,13 @@ class AdaptiveTuner(TunerBase):
 
     **Overload mode** (opt-in, for the graceful-degradation path): when
     the load estimate stays at or above ``overload_enter`` for
-    ``overload_hold_cycles`` consecutive cycles — the controller's
+    :data:`OVERLOAD_HOLD_CYCLES` consecutive cycles — the controller's
     equilibrium is gone, e.g. under an IRQ storm or an antagonist
-    stealing the cores — T_S collapses to ``overload_ts_ns`` so wakeups
-    come as fast as the sleep service allows and the backlog drains.
-    Recovery is hysteretic: overload only lifts once ρ falls back to
-    ``overload_exit``, well below the entry threshold, so the tuner
+    stealing the cores — T_S collapses to ``overload_ts_ns`` (V̄/4, at
+    least :data:`OVERLOAD_TS_FLOOR_NS`) so wakeups come as fast as the
+    sleep service allows and the backlog drains.  Recovery is
+    hysteretic: overload only lifts once ρ falls back to
+    :data:`OVERLOAD_EXIT`, well below the entry threshold, so the tuner
     cannot flap at the boundary.  ``overload_enter=None`` (the default)
     disables the mode entirely and the controller is byte-identical to
     the pre-faults behaviour.
@@ -81,10 +89,6 @@ class AdaptiveTuner(TunerBase):
         initial_rho: float = 0.0,
         record_history: bool = False,
         overload_enter: Optional[float] = None,
-        overload_exit: float = 0.85,
-        overload_hold_cycles: int = 8,
-        overload_ts_ns: Optional[int] = None,
-        on_overload: Optional[Callable[[bool, float], None]] = None,
     ):
         if vbar_ns <= 0 or tl_ns <= 0:
             raise ValueError("timeouts must be positive")
@@ -92,15 +96,12 @@ class AdaptiveTuner(TunerBase):
             raise ValueError("M must be >= 1")
         if not 0.0 < alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if overload_enter is not None:
-            if not 0.0 < overload_enter <= 1.0:
-                raise ValueError("overload_enter must be in (0, 1]")
-            if not 0.0 < overload_exit < overload_enter:
-                raise ValueError(
-                    "overload_exit must be below overload_enter (hysteresis)"
-                )
-            if overload_hold_cycles < 1:
-                raise ValueError("overload_hold_cycles must be >= 1")
+        if overload_enter is not None and not (
+                OVERLOAD_EXIT < overload_enter <= 1.0):
+            raise ValueError(
+                f"overload_enter must be in ({OVERLOAD_EXIT}, 1] "
+                "(above the exit level: hysteresis)"
+            )
         self.vbar_ns = vbar_ns
         self._tl = tl_ns
         self.m = m
@@ -111,13 +112,7 @@ class AdaptiveTuner(TunerBase):
             [] if record_history else None
         )
         self.overload_enter = overload_enter
-        self.overload_exit = overload_exit
-        self.overload_hold_cycles = overload_hold_cycles
-        self.overload_ts_ns = (
-            overload_ts_ns if overload_ts_ns is not None
-            else max(1_000, vbar_ns // 4)
-        )
-        self.on_overload = on_overload
+        self.overload_ts_ns = max(OVERLOAD_TS_FLOOR_NS, vbar_ns // 4)
         self.in_overload = False
         self.overload_entries = 0
         self._consec_high = 0
@@ -139,18 +134,14 @@ class AdaptiveTuner(TunerBase):
         if not self.in_overload:
             if self._rho >= self.overload_enter:
                 self._consec_high += 1
-                if self._consec_high >= self.overload_hold_cycles:
+                if self._consec_high >= OVERLOAD_HOLD_CYCLES:
                     self.in_overload = True
                     self.overload_entries += 1
-                    if self.on_overload is not None:
-                        self.on_overload(True, self._rho)
             else:
                 self._consec_high = 0
-        elif self._rho <= self.overload_exit:
+        elif self._rho <= OVERLOAD_EXIT:
             self.in_overload = False
             self._consec_high = 0
-            if self.on_overload is not None:
-                self.on_overload(False, self._rho)
 
     def ts_ns(self) -> int:
         if self.in_overload:

@@ -1,6 +1,5 @@
 """The DPDK-like poll-mode layer.
 
-* :mod:`repro.dpdk.mbuf` — packet-buffer pool accounting.
 * :mod:`repro.dpdk.app` — the application interface (per-packet cost +
   real work on tagged packets) shared by the poll-mode driver, Metronome
   and XDP.
@@ -10,14 +9,9 @@
 
 from repro.dpdk.app import CountingApp, PacketApp
 from repro.dpdk.lcore import PollModeLcore
-from repro.dpdk.mbuf import MbufPool, MbufPoolExhausted
-from repro.dpdk.ring_spsc import SpscRing
 
 __all__ = [
     "PacketApp",
     "CountingApp",
     "PollModeLcore",
-    "MbufPool",
-    "MbufPoolExhausted",
-    "SpscRing",
 ]

@@ -44,11 +44,9 @@ class PollModeLcore:
         machine: Machine,
         queues: List[RxQueue],
         app: PacketApp,
-        tx_buffers: Optional[List[TxBuffer]] = None,
         core: int = 0,
         nice: int = 0,
         name: str = "dpdk-lcore",
-        mbuf_pool: Optional["MbufPool"] = None,  # noqa: F821
     ):
         if not queues:
             raise ValueError("an lcore needs at least one queue")
@@ -56,12 +54,10 @@ class PollModeLcore:
         self.queues = queues
         self.app = app
         self.burst = machine.cfg.rx_burst
-        self.tx_buffers = tx_buffers or [
+        self.tx_buffers = [
             TxBuffer(machine.sim, batch_threshold=machine.cfg.tx_batch)
             for _ in queues
         ]
-        if len(self.tx_buffers) != len(queues):
-            raise ValueError("one Tx buffer per queue required")
         self.latency = LatencyStats()
         for txbuf in self.tx_buffers:
             txbuf.on_tx = lambda pkt: self.latency.add(pkt.latency_ns)
@@ -70,15 +66,8 @@ class PollModeLcore:
         self.name = name
         self.polls = 0
         self.rx_packets = 0
-        #: packets lost because the mbuf pool could not back them
-        self.mbuf_drops = 0
         self._last_drain = 0
         self.thread: Optional[KThread] = None
-        #: optional buffer-pool accounting: rx takes, tx flush returns
-        self.mbuf_pool = mbuf_pool
-        if mbuf_pool is not None:
-            for txbuf in self.tx_buffers:
-                txbuf.on_flush = mbuf_pool.give
 
     def start(self) -> KThread:
         """Spawn the polling thread."""
@@ -119,19 +108,6 @@ class PollModeLcore:
                 if n == 0:
                     yield Compute(config.RX_POLL_EMPTY_NS)
                     continue
-                if self.mbuf_pool is not None:
-                    # rx needs a buffer per packet; shortfall = drops
-                    granted = self.mbuf_pool.take(n)
-                    if granted < n:
-                        self.mbuf_drops += n - granted
-                        # the popped range is [head-n, head) in ring-seq
-                        # space: keep the first `granted` packets of it
-                        keep_below = queue.ring.head_seq - n + granted
-                        tagged = [p for p in tagged if p.ring_seq < keep_below]
-                        n = granted
-                        if n == 0:
-                            yield Compute(config.RX_POLL_EMPTY_NS)
-                            continue
                 got += n
                 self.rx_packets += n
                 will_flush = txbuf.pending + n >= txbuf.batch_threshold

@@ -1,4 +1,4 @@
-"""Terminal time-series rendering (sparklines and braille-free plots).
+"""Terminal time-series rendering: sparklines and resampling.
 
 The adaptation experiment (§5.3) is inherently a time-series figure;
 these helpers let the CLI and examples show its shape without any
@@ -7,7 +7,7 @@ plotting dependency.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -28,48 +28,6 @@ def sparkline(values: Sequence[float], lo: Optional[float] = None,
         idx = int((v - lo) / span * top + 0.5)
         out.append(_SPARK_LEVELS[min(top, max(0, idx))])
     return "".join(out)
-
-
-def line_chart(
-    series: Sequence[Tuple[str, Sequence[float]]],
-    width: int = 64,
-    height: int = 12,
-) -> str:
-    """A multi-series ASCII chart; each series gets a distinct marker.
-
-    Series are resampled to ``width`` columns; the y-axis is shared and
-    annotated with min/max.  Intended for monotone-ish experiment
-    trajectories, not publication graphics.
-    """
-    if not series or not any(vals for _n, vals in series):
-        return "(no data)"
-    markers = "*o+x#@%&"
-    all_vals = [v for _n, vals in series for v in vals]
-    lo, hi = min(all_vals), max(all_vals)
-    span = (hi - lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for s_index, (_name, vals) in enumerate(series):
-        if not vals:
-            continue
-        marker = markers[s_index % len(markers)]
-        for col in range(width):
-            # resample by nearest index
-            src = int(col * (len(vals) - 1) / max(1, width - 1))
-            level = (vals[src] - lo) / span
-            row = height - 1 - int(level * (height - 1) + 0.5)
-            grid[row][col] = marker
-    lines = []
-    for i, row in enumerate(grid):
-        label = f"{hi:10.2f} |" if i == 0 else (
-            f"{lo:10.2f} |" if i == height - 1 else " " * 11 + "|")
-        lines.append(label + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {name}"
-        for i, (name, _vals) in enumerate(series)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
 
 
 def resample(values: Sequence[float], n: int) -> List[float]:

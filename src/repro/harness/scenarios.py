@@ -725,64 +725,6 @@ def _enable_submicro(_machine: Machine, group) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Chaos — Metronome under adversarial conditions (docs/FAULTS.md)
-# ---------------------------------------------------------------------- #
-
-@dataclass
-class ChaosRow:
-    """One (plan, seed) cell of the chaos suite."""
-
-    plan: str
-    seed: int
-    ok: bool
-    loss_pct: float
-    max_head_age_us: float
-    escalations: int
-    recovery_us: float          # -1 when the watchdog never disengaged
-    overload_entries: int
-    violations: List[str]
-
-
-def chaos_suite(
-    plans: Sequence[str] = (),
-    seeds: Sequence[int] = (7, 42, 2020),
-    duration_ms: int = 40,
-) -> List[ChaosRow]:
-    """Run every named fault plan × seed and collect the verdicts.
-
-    ``plans`` selects by name from
-    :data:`~repro.faults.plan.SHIPPED_PLANS` (empty → all shipped
-    plans).  Each cell asserts the plan's bounded-loss, no-starvation
-    and recovery invariants; a row with ``ok=False`` lists what broke.
-    """
-    from repro.faults import SHIPPED_PLANS, run_chaos
-
-    names = list(plans) if plans else list(SHIPPED_PLANS)
-    rows: List[ChaosRow] = []
-    for name in names:
-        plan = SHIPPED_PLANS[name]
-        for seed in seeds:
-            r = run_chaos(plan, seed=seed, duration_ms=duration_ms)
-            rows.append(
-                ChaosRow(
-                    plan=name,
-                    seed=seed,
-                    ok=r.ok,
-                    loss_pct=r.loss_fraction * 100,
-                    max_head_age_us=r.max_head_age_ns / 1e3,
-                    escalations=r.escalations,
-                    recovery_us=(
-                        r.recovery_ns / 1e3 if r.recovery_ns is not None
-                        else -1.0
-                    ),
-                    overload_entries=r.overload_entries,
-                    violations=r.violations,
-                )
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------- #
 # Trace-driven figures (repro.traffic)
 # ---------------------------------------------------------------------- #
 
@@ -965,7 +907,6 @@ SCENARIOS: Dict[str, Callable] = {
         ferret_coexistence,
         fig15_apps,
         tuned_low_latency,
-        chaos_suite,
         trace_phase_tracking,
         trace_adversary,
         scale_queue_count,

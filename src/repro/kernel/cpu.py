@@ -36,7 +36,7 @@ class Core:
         self.machine = machine
         self.sim = machine.sim
         self.index = index
-        self.base_freq = machine.cfg.base_freq_hz
+        self.base_freq = config.BASE_FREQ_HZ
         #: hyper-threading sibling (None = SMT off for this core)
         self.smt_sibling: Optional["Core"] = None
         self._busy_since: Optional[int] = None

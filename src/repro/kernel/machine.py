@@ -120,7 +120,7 @@ class Machine:
         """
         if core.node == 0:
             return 0
-        return self.cfg.cross_socket_wake_ns
+        return config.CROSS_SOCKET_WAKE_NS
 
     def sleep_service(self, name: str) -> SleepService:
         """Instantiate a sleep service (``"hr_sleep"``/``"nanosleep"``)."""

@@ -99,7 +99,7 @@ class PerformanceGovernor:
 
     def __init__(self, machine: "Machine"):
         for core in machine.cores:
-            core.freq = machine.cfg.base_freq_hz
+            core.freq = config.BASE_FREQ_HZ
 
     def start(self) -> None:
         """Nothing to sample."""
@@ -132,12 +132,12 @@ class OndemandGovernor:
         self.sim.call_after(config.ONDEMAND_SAMPLE_NS, self._sample)
 
     def _set_freq(self, core: "Core", util: float) -> None:
-        cfg = self.machine.cfg
+        base = config.BASE_FREQ_HZ
         if util >= config.ONDEMAND_UP_THRESHOLD:
-            new_freq = cfg.base_freq_hz
+            new_freq = base
         else:
-            target = cfg.base_freq_hz * util / config.ONDEMAND_UP_THRESHOLD
-            new_freq = int(min(cfg.base_freq_hz, max(cfg.min_freq_hz, target)))
+            target = base * util / config.ONDEMAND_UP_THRESHOLD
+            new_freq = int(min(base, max(config.MIN_FREQ_HZ, target)))
         if new_freq != core.freq:
             self.machine.power.on_core_transition(core)
             core.freq = new_freq

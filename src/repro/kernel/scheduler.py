@@ -50,7 +50,6 @@ class _CoreSched:
     __slots__ = (
         "core",
         "runqueue",
-        "rq_len",
         "seq",
         "min_vruntime",
         "completion",
@@ -64,8 +63,7 @@ class _CoreSched:
 
     def __init__(self, core: Core):
         self.core = core
-        self.runqueue: List[list] = []   # [vruntime, seq, thread-or-None]
-        self.rq_len = 0                   # live entries (excl. tombstones)
+        self.runqueue: List[tuple] = []  # (vruntime, seq, thread) heap
         self.seq = 0
         self.min_vruntime = 0
         self.completion = None            # Handle for chunk completion
@@ -186,8 +184,8 @@ class CfsScheduler:
             self._program_completion(cs)
 
     def runnable_count(self, core: Core) -> int:
-        """Live runqueue length (excluding the running thread)."""
-        return self._cs[core.index].rq_len
+        """Runqueue length (excluding the running thread)."""
+        return len(self._cs[core.index].runqueue)
 
     def occupy_idle_irq(self, core: Core, duration_ns: int) -> int:
         """Reserve an idle-context IRQ window on ``core``.
@@ -246,8 +244,8 @@ class CfsScheduler:
         if core.idle_since == self.sim.now:
             return
         cs = self._cs[core.index]
-        if (core.current is None and cs.switching is None and cs.rq_len == 0
-                and cs.irq_busy_until <= self.sim.now):
+        if (core.current is None and cs.switching is None
+                and not cs.runqueue and cs.irq_busy_until <= self.sim.now):
             core.mark_idle()
 
     # ------------------------------------------------------------------ #
@@ -256,34 +254,15 @@ class CfsScheduler:
 
     def _enqueue(self, cs: _CoreSched, thread: KThread) -> None:
         cs.seq += 1
-        entry = [thread.vruntime, cs.seq, thread]
-        thread.rq_entry = entry
-        heapq.heappush(cs.runqueue, entry)
-        cs.rq_len += 1
+        heapq.heappush(cs.runqueue, (thread.vruntime, cs.seq, thread))
 
     def _pop_next(self, cs: _CoreSched) -> Optional[KThread]:
         rq = cs.runqueue
-        while rq:
-            _v, _s, thread = heapq.heappop(rq)
-            if thread is None:
-                continue
-            thread.rq_entry = None
-            cs.rq_len -= 1
-            return thread
-        return None
+        return heapq.heappop(rq)[2] if rq else None
 
     def _peek_vruntime(self, cs: _CoreSched) -> Optional[int]:
         rq = cs.runqueue
-        while rq and rq[0][2] is None:
-            heapq.heappop(rq)
         return rq[0][0] if rq else None
-
-    def _remove_from_rq(self, thread: KThread) -> None:
-        entry = thread.rq_entry
-        if entry is not None:
-            entry[2] = None
-            thread.rq_entry = None
-            self._cs[thread.core.index].rq_len -= 1
 
     # ------------------------------------------------------------------ #
     # dispatch path
@@ -486,7 +465,7 @@ class CfsScheduler:
                 return
             else:
                 raise RuntimeError(f"{thread} yielded unknown action {action!r}")
-            if (cs.rq_len or cs.irq_skip or not self._inline
+            if (cs.runqueue or cs.irq_skip or not self._inline
                     or not sim.advance_to(end)):
                 break
             # _account with no stolen time to skip and an empty runqueue:
@@ -624,13 +603,13 @@ class CfsScheduler:
     # ------------------------------------------------------------------ #
 
     def _ensure_tick(self, cs: _CoreSched) -> None:
-        if cs.tick is None and cs.rq_len > 0 and cs.core.current is not None:
+        if cs.tick is None and cs.runqueue and cs.core.current is not None:
             cs.tick = self.sim.call_after(config.SCHED_TICK_NS, self._on_tick, cs)
 
     def _on_tick(self, cs: _CoreSched) -> None:
         cs.tick = None
         current = cs.core.current
-        if current is None or cs.rq_len == 0:
+        if current is None or not cs.runqueue:
             return
         self._account(cs)
         ran = self.sim.now - current.run_since
@@ -641,10 +620,8 @@ class CfsScheduler:
 
     def _slice_for(self, cs: _CoreSched, thread: KThread) -> int:
         total_weight = thread.weight
-        for entry in cs.runqueue:
-            t = entry[2]
-            if t is not None:
-                total_weight += t.weight
+        for _v, _s, t in cs.runqueue:
+            total_weight += t.weight
         share = config.SCHED_LATENCY_NS * thread.weight // total_weight
         return max(share, config.SCHED_MIN_GRANULARITY_NS)
 
@@ -653,5 +630,6 @@ class CfsScheduler:
     def _irq_idle_done(self, cs: _CoreSched) -> None:
         if self.sim.now < cs.irq_busy_until:
             return  # superseded by a later-queued handler
-        if cs.core.current is None and cs.switching is None and cs.rq_len == 0:
+        if (cs.core.current is None and cs.switching is None
+                and not cs.runqueue):
             cs.core.mark_idle()

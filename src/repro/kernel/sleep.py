@@ -33,7 +33,7 @@ scheduler dispatch) is shared; see :mod:`repro.kernel.hrtimer` and
 from __future__ import annotations
 
 from functools import partial
-from typing import Generator, Optional
+from typing import Generator
 
 from repro import config
 from repro.kernel.thread import Compute, KThread, Suspend
@@ -154,11 +154,9 @@ class Nanosleep(SleepService):
 
     name = "nanosleep"
 
-    def __init__(self, machine, timer_slack_ns: Optional[int] = None):
+    def __init__(self, machine):
         super().__init__(machine)
-        self.timer_slack_ns = (
-            machine.cfg.timer_slack_ns if timer_slack_ns is None else timer_slack_ns
-        )
+        self.timer_slack_ns = machine.cfg.timer_slack_ns
         #: probability that another event in the slack range lets the
         #: range timer coalesce and fire before its hard expiry
         self.coalesce_prob = 0.05

@@ -34,7 +34,7 @@ completed — which is exactly when a real CPU would perform them.
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional
+from typing import Any, Generator
 
 from repro.kernel.nice import weight_for_nice
 
@@ -140,8 +140,6 @@ class KThread:
         self.action: Any = None
         #: one-time cold-cache penalty still to pay (base-frequency ns)
         self.cold_penalty: int = 0
-        #: set while the thread sits on a runqueue (heap entry liveness)
-        self.rq_entry: Optional[list] = None
         #: time the thread last started running (for slice accounting)
         self.run_since: int = 0
         #: time the thread became runnable (for dispatch-latency stats)

@@ -12,8 +12,7 @@ queues:
   the real Toeplitz redirection table, lifting ``run_xdp``'s
   single-queue restriction for stateful arrival processes;
 * :class:`ReplayShard` — the per-queue arrival process a shard becomes:
-  a subsequence of the master schedule that shares the master's loop
-  cycle, so the shards stay mutually aligned forever.
+  a subsequence of the master schedule.
 
 Everything here is pure construction-time arithmetic: no simulator
 events, no RNG draws, so sharding a trace never perturbs a run.
@@ -43,103 +42,61 @@ def frozen_column(values) -> np.ndarray:
 
 
 class FixedSchedule(ArrivalProcess):
-    """Arrivals at a fixed schedule of offsets from ``start``.
+    """Arrivals at a fixed schedule of absolute times.
 
     ``times`` is non-decreasing and ``>= 1`` (arrivals live in
-    ``(start, t]``); ``flows``/``lens`` are aligned with it.  Under
-    ``loop`` the schedule repeats every ``cycle`` ns.  All three
+    ``(0, t]``); ``flows``/``lens`` are aligned with it.  All three
     columns are read-only arrays; the per-event lookups (``bisect`` on
     every ``sync``) run on a list copy of ``times``, which is several
-    times faster there than ``searchsorted`` on the array.
+    times faster there than ``searchsorted`` on the array.  Every count
+    is one ``bisect``: no time before the first entry counts anything.
     """
 
-    def __init__(self, times, flows, lens, cycle: int, loop: bool,
-                 start: int = 0):
+    def __init__(self, times, flows, lens):
         self._schedule = frozen_column(times)
         self._flows = frozen_column(flows)
         self._lens = frozen_column(lens)
         self._times: List[int] = self._schedule.tolist()
         self._n = len(self._times)
-        self._cycle = max(1, cycle)
-        self.loop = loop
-        self.start = start
-        self.last_t = start
+        self.last_t = 0
         self.total = 0
 
     # -- counting --------------------------------------------------------- #
 
-    def _count_at(self, t: int) -> int:
-        rel = t - self.start
-        if rel <= 0 or self._n == 0:
-            return 0
-        if not self.loop:
-            return bisect_right(self._times, rel)
-        cycles, rem = divmod(rel, self._cycle)
-        return cycles * self._n + bisect_right(self._times, rem)
-
     def advance(self, t1: int) -> int:
         if t1 < self.last_t:
             raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
-        n = self._count_at(t1) - self.total
+        n = bisect_right(self._times, t1) - self.total
         self.total += n
         self.last_t = t1
         return n
 
     def next_arrival_after(self, t: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        rel = t - self.start
-        if rel < 0:
-            return self.start + self._times[0]
-        if not self.loop:
-            idx = bisect_right(self._times, rel)
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, rem = divmod(rel, self._cycle)
-        idx = bisect_right(self._times, rem)
-        if idx < self._n:
-            return self.start + cycles * self._cycle + self._times[idx]
-        return self.start + (cycles + 1) * self._cycle + self._times[0]
+        idx = bisect_right(self._times, t)
+        return self._times[idx] if idx < self._n else None
 
     def time_for_count(self, t: int, k: int) -> Optional[int]:
         """Exact: the arrival time of the k-th packet after ``t``."""
         if k <= 0:
             return t
-        if self._n == 0:
-            return None
-        idx = self._count_at(t) + k - 1
-        if not self.loop:
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, j = divmod(idx, self._n)
-        return self.start + cycles * self._cycle + self._times[j]
+        idx = bisect_right(self._times, t) + k - 1
+        return self._times[idx] if idx < self._n else None
 
     # -- flow plumbing --------------------------------------------------- #
 
     def flow_of(self, seq: int) -> Optional[int]:
         """The scheduled flow id of arrival ``seq`` (None past the end)."""
-        return self._lookup(self._flows, seq)
+        return int(self._flows[seq]) if seq < self._n else None
 
     def len_of(self, seq: int) -> Optional[int]:
         """The scheduled frame length of arrival ``seq``."""
-        return self._lookup(self._lens, seq)
-
-    def _lookup(self, column: np.ndarray, seq: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        if self.loop:
-            seq %= self._n
-        elif seq >= self._n:
-            return None
-        return int(column[seq])
+        return int(self._lens[seq]) if seq < self._n else None
 
     # -- schedule access (read-only; RSS sharding) ------------------------- #
 
     @property
     def schedule_times(self) -> np.ndarray:
-        """The arrival offsets relative to ``start`` (read-only)."""
+        """The arrival times (read-only)."""
         return self._schedule
 
     @property
@@ -152,36 +109,26 @@ class FixedSchedule(ArrivalProcess):
         """Per-arrival frame lengths aligned with :attr:`schedule_times`."""
         return self._lens
 
-    @property
-    def cycle_ns(self) -> int:
-        """Length of one loop cycle in scaled nanoseconds."""
-        return self._cycle
-
 
 class ReplayShard(FixedSchedule):
     """One RSS queue's slice of a replayed trace.
 
-    Holds the subsequence of the master schedule steered to this queue
-    but keeps the *master's* loop cycle, so on every loop iteration the
-    shards replay their slices in mutual alignment — the union of all
-    shards reproduces the master schedule exactly (tested in
-    ``tests/scale``).
+    Holds the subsequence of the master schedule steered to this queue,
+    so the union of all shards reproduces the master schedule exactly
+    (tested in ``tests/scale``).
     """
 
-    def __init__(self, times, flows, lens, cycle: int, loop: bool,
-                 start: int = 0, label: str = "shard"):
-        super().__init__(times, flows, lens, cycle, loop, start)
+    def __init__(self, times, flows, lens, label: str = "shard"):
+        super().__init__(times, flows, lens)
         self.label = label
 
     def rate_at(self, t: int) -> float:
         """Nominal mean rate of the shard (reporting/pacing only)."""
         if self._n == 0:
             return 0.0
-        rel = t - self.start
-        if self.loop:
-            return self._n * SEC / self._cycle
-        if 0 <= rel <= self._times[-1]:
-            return self._n * SEC / max(1, self._times[-1])
+        last = self._times[-1]
+        if 0 <= t <= last:
+            return self._n * SEC / max(1, last)
         return 0.0
 
     # -- checkpointing ---------------------------------------------------- #
@@ -191,9 +138,6 @@ class ReplayShard(FixedSchedule):
             "kind": "replay-shard",
             "label": self.label,
             "n": self._n,
-            "cycle": self._cycle,
-            "loop": self.loop,
-            "start": self.start,
             "total": self.total,
             "last_t": self.last_t,
         }
@@ -213,8 +157,7 @@ def rss_shard(
     ``flow % flows.num_flows``), steers the header through a default
     round-robin Toeplitz redirection table, and emits one
     :class:`ReplayShard` per queue.  The shards conserve packets: their
-    schedule lengths sum to the master's, and under ``loop`` they share
-    the master cycle so alignment holds across iterations.
+    schedule lengths sum to the master's.
 
     Only schedule-backed processes (:class:`FixedSchedule`, e.g.
     :class:`~repro.traffic.replay.TraceReplayProcess`) can be sharded.
@@ -248,9 +191,6 @@ def rss_shard(
             process.schedule_times[mask],
             process.schedule_flows[mask],
             process.schedule_lens[mask],
-            process.cycle_ns,
-            bool(process.loop),
-            start=process.start,
             label=f"shard{q}",
         ))
     return shards

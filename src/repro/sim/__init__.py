@@ -8,14 +8,12 @@ Public surface:
 
 * :class:`~repro.sim.core.Simulator` — the event loop and virtual clock.
 * :class:`~repro.sim.core.Event` — a one-shot occurrence others can wait on.
-* :class:`~repro.sim.process.Process` — a generator-coroutine process.
 * :class:`~repro.sim.rng.RandomStreams` — named, reproducible RNG streams.
 * Time helpers: :data:`NS`, :data:`US`, :data:`MS`, :data:`SEC` and
   :func:`ns_to_us` / :func:`us_to_ns` conversions.
 """
 
 from repro.sim.core import Event, Simulator, SimulationError
-from repro.sim.process import Process, Timeout, WaitEvent, WaitProcess
 from repro.sim.rng import RandomStreams
 from repro.sim.units import MS, NS, SEC, US, ns_to_ms, ns_to_sec, ns_to_us, us_to_ns
 
@@ -23,10 +21,6 @@ __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Process",
-    "Timeout",
-    "WaitEvent",
-    "WaitProcess",
     "RandomStreams",
     "NS",
     "US",

@@ -32,7 +32,7 @@ Two levels of abstraction are offered:
 * raw callbacks (:meth:`Simulator.call_at` / :meth:`Simulator.call_after`)
   used by the performance-critical subsystems (scheduler, NIC);
 * :class:`Event` objects, used where several parties need to wait on one
-  occurrence (process joins, IRQ lines, experiment completion).
+  occurrence (thread exits, IRQ lines, experiment completion).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class Handle:
 
 
 class Event:
-    """A one-shot occurrence that callbacks (and processes) can wait on.
+    """A one-shot occurrence that callbacks can wait on.
 
     An event starts untriggered; :meth:`succeed` fires it exactly once,
     delivering an optional value to every registered callback.  Callbacks
@@ -257,12 +257,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a fresh untriggered :class:`Event` bound to this simulator."""
         return Event(self)
-
-    def timeout_event(self, delay: int, value: Any = None) -> Event:
-        """An :class:`Event` that fires automatically after ``delay`` ns."""
-        ev = Event(self)
-        self.call_after(delay, ev.succeed, value)
-        return ev
 
     # ------------------------------------------------------------------ #
     # Store maintenance

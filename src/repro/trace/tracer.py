@@ -209,10 +209,6 @@ class Tracer:
         """All queues back under their bounds; escalation lifted."""
         self.emit("watchdog.clear", engaged_ns=engaged_ns)
 
-    def tuner_overload(self, entered: bool, rho: float) -> None:
-        """The adaptive tuner crossed its overload hysteresis boundary."""
-        self.emit("tuner.overload", entered=entered, rho=rho)
-
 
 def _noop(self, *args: Any, **kwargs: Any) -> None:
     return None

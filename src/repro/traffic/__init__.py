@@ -5,8 +5,8 @@ The subsystem has four parts (ROADMAP item 3):
 * :mod:`repro.traffic.trace` — the compact, versioned JSONL trace
   format (named phases, schema validation, sha256 identity, gzip);
 * :mod:`repro.traffic.replay` — :class:`TraceReplayProcess`, replaying
-  a trace through the full :class:`~repro.nic.traffic.ArrivalProcess`
-  interface with ``speedup=``/``loop=``/``jitter=`` knobs;
+  a trace at its own timestamps through the full
+  :class:`~repro.nic.traffic.ArrivalProcess` interface;
 * :mod:`repro.traffic.generators` — seeded, pure-function generators
   for benign phased mixes and attack workloads;
 * :mod:`repro.traffic.adversary` — the T_S-aware adaptive adversary

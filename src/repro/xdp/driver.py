@@ -46,7 +46,6 @@ class XdpQueueDriver:
         core: int,
         latency: Optional[LatencyStats] = None,
         itr_ns: int = config.XDP_ITR_NS,
-        name: Optional[str] = None,
     ):
         self.machine = machine
         self.port = port
@@ -55,7 +54,7 @@ class XdpQueueDriver:
         self.app = app
         self.core = core
         self.itr_ns = itr_ns
-        self.name = name or f"xdp-q{queue_index}"
+        self.name = f"xdp-q{queue_index}"
         # XDP transmits immediately (no tx batching in xdp_router_ipv4)
         self.txbuf = TxBuffer(machine.sim, batch_threshold=1)
         if latency is not None:

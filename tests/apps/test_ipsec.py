@@ -100,68 +100,3 @@ def test_handle_counts(machine):
     gw.handle(tagged)
     assert gw.encapsulated == 10
     assert gw.stats()["encapsulated"] == 10
-
-
-class TestInbound:
-    def make_pair(self):
-        from repro.apps.ipsec import IpsecGatewayApp, IpsecInboundApp
-
-        out = IpsecGatewayApp()
-        out.protect_everything(spi=7)
-        return out, IpsecInboundApp(out)
-
-    def test_decapsulates_valid_traffic(self):
-        out, inbound = self.make_pair()
-        h = PacketHeader(1, 2, 3, 4)
-        d = out.encapsulate(h)
-        assert inbound.process_datagram(d, out.synth_payload(h))
-        assert inbound.decapsulated == 1
-
-    def test_replay_rejected(self):
-        out, inbound = self.make_pair()
-        h = PacketHeader(1, 2, 3, 4)
-        d = out.encapsulate(h)
-        expected = out.synth_payload(h)
-        assert inbound.process_datagram(d, expected)
-        assert not inbound.process_datagram(d, expected)  # replay
-        assert inbound.replays_rejected == 1
-
-    def test_window_allows_reordering(self):
-        out, inbound = self.make_pair()
-        h = PacketHeader(1, 2, 3, 4)
-        datagrams = [out.encapsulate(h) for _ in range(5)]
-        expected = out.synth_payload(h)
-        # deliver out of order: 3rd, 1st, 5th, 2nd, 4th
-        for i in (2, 0, 4, 1, 3):
-            assert inbound.process_datagram(datagrams[i], expected)
-        assert inbound.decapsulated == 5
-
-    def test_ancient_sequence_rejected(self):
-        out, inbound = self.make_pair()
-        h = PacketHeader(1, 2, 3, 4)
-        old = out.encapsulate(h)
-        expected = out.synth_payload(h)
-        # advance the window far beyond the replay width
-        for _ in range(100):
-            assert inbound.process_datagram(out.encapsulate(h), expected)
-        assert not inbound.process_datagram(old, expected)
-
-    def test_tampered_payload_fails_auth(self):
-        out, inbound = self.make_pair()
-        h = PacketHeader(1, 2, 3, 4)
-        d = bytearray(out.encapsulate(h))
-        d[-1] ^= 0xFF
-        assert not inbound.process_datagram(bytes(d),
-                                            out.synth_payload(h))
-        assert inbound.auth_failures == 1
-
-    def test_handle_tagged_stream(self):
-        from repro.nic.flows import FlowSet
-        from repro.nic.packet import TaggedPacket
-
-        out, inbound = self.make_pair()
-        flows = FlowSet(num_flows=8)
-        pkts = [TaggedPacket(i, 0, flows.header_for(i)) for i in range(50)]
-        inbound.handle(pkts)
-        assert inbound.decapsulated == 50
-        assert inbound.auth_failures == 0

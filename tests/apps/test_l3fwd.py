@@ -59,46 +59,3 @@ def test_per_packet_cost_positive():
     assert app.per_packet_ns > 0
     assert app.batch_cost_ns(32) > 32 * app.per_packet_ns
     assert app.batch_cost_ns(0) == 0
-
-
-class TestExactMatch:
-    def make(self, flows=None, ports=2):
-        from repro.apps.l3fwd import L3FwdEmApp
-
-        return L3FwdEmApp(flows=flows, num_ports=ports)
-
-    def test_flows_installed(self):
-        flows = FlowSet(num_flows=200)
-        app = self.make(flows=flows)
-        assert len(app.table) == 200
-
-    def test_every_flow_packet_matches(self):
-        flows = FlowSet(num_flows=64)
-        app = self.make(flows=flows, ports=4)
-        pkts = [TaggedPacket(i, 0, flows.header_for(i)) for i in range(500)]
-        app.handle(pkts)
-        assert app.misses == 0
-        assert sum(app.forwarded) == 500
-
-    def test_unknown_flow_misses(self):
-        from repro.nic.packet import PacketHeader
-
-        app = self.make()
-        app.handle([TaggedPacket(0, 0, PacketHeader(9, 9, 9, 9))])
-        assert app.misses == 1
-
-    def test_em_cheaper_than_lpm(self):
-        flows = FlowSet(num_flows=16)
-        em = self.make(flows=flows)
-        lpm = L3FwdApp(flows=flows)
-        assert em.per_packet_ns < lpm.per_packet_ns
-
-    def test_add_flow(self):
-        app = self.make()
-        key = (1, 2, 3, 4, 17)
-        app.add_flow(key, 1)
-        from repro.nic.packet import PacketHeader
-
-        app.handle([TaggedPacket(0, 0, PacketHeader(1, 2, 3, 4, proto=17))])
-        assert app.misses == 0
-        assert app.stats()["flows"] == 1

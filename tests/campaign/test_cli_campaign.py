@@ -1,9 +1,17 @@
 """End-to-end CLI coverage for ``repro campaign``."""
 
 import json
+import multiprocessing
 import os
 
+import pytest
+
 from repro.cli import main
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the pooled CLI path is exercised with forked workers",
+)
 
 
 def _run(tmp_path, *extra):
@@ -48,6 +56,26 @@ def test_campaign_rerun_hits_cache(tmp_path, capsys):
     # cached artifacts are byte-identical to freshly computed ones
     assert (tmp_path / "fig7.txt").read_text() == first
     assert len(list((tmp_path / "cache").glob("*.json"))) == 7
+
+
+@fork_only
+def test_campaign_pooled_cli_matches_serial(tmp_path, capsys):
+    """The CLI's worker-pool path: a cold ``--workers 2`` run writes the
+    serial run's table, its warm re-run is served from the cache, and
+    an injected failure still exits non-zero."""
+    assert _run(tmp_path / "serial", "--no-cache") == 0
+    pooled = tmp_path / "pooled"
+    args = ["campaign", "run", "--figures", "fig7", "--workers", "2",
+            "--fast", "--results-dir", str(pooled)]
+    assert main(args) == 0
+    assert (pooled / "fig7.txt").read_bytes() == \
+        (tmp_path / "serial" / "fig7.txt").read_bytes()
+    assert main(args) == 0
+    summary = json.loads((pooled / "BENCH_campaign.json").read_text())
+    assert summary["cache"]["hit_rate"] == 1.0
+    assert main([*args, "--no-cache", "--retries", "1", "--backoff-s", "0",
+                 "--fail-tasks", "fig7"]) == 1
+    capsys.readouterr()
 
 
 def test_campaign_no_cache_skips_store(tmp_path, capsys):

@@ -166,7 +166,7 @@ def test_sched_pick_is_min_and_floor():
     picked = StubThread("a", vruntime=1000)
     waiting = StubThread("b", vruntime=500)
     cs = StubCoreState(min_vruntime=400,
-                       runqueue=[[500, 1, waiting]])
+                       runqueue=[(500, 1, waiting)])
     reg.on_pick(picked, cs)
     assert any(v.invariant == "pick-is-min" for v in reg.violations)
 
@@ -185,16 +185,16 @@ def test_sched_spread_ignores_other_weights_and_vacant_slots():
     picked = StubThread("a", vruntime=0)
     heavy = StubThread("hog", vruntime=10**12, weight=NICE_0_WEIGHT * 2)
     cs = StubCoreState(min_vruntime=0,
-                       runqueue=[[10**12, 1, heavy], [10**12, 2, None]])
+                       runqueue=[(10**12, 1, heavy)])
     reg.on_pick(picked, cs)
-    assert reg.ok  # different weight and empty entry are both exempt
+    assert reg.ok  # a different weight is exempt
 
 
 def test_sched_fairness_spread_bound():
     reg = registry()
     picked = StubThread("a", vruntime=0)
     lagging = StubThread("b", vruntime=10**12)
-    cs = StubCoreState(min_vruntime=0, runqueue=[[10**12, 1, lagging]])
+    cs = StubCoreState(min_vruntime=0, runqueue=[(10**12, 1, lagging)])
     reg.on_pick(picked, cs)
     assert [v.invariant for v in reg.violations] == ["fairness-spread"]
 

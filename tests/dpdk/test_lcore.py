@@ -104,17 +104,6 @@ def test_multiple_queues_served():
     assert lcore.rx_packets >= q1.arrived_total + q2.arrived_total - 128
 
 
-def test_tx_buffer_count_must_match():
-    m = make_machine()
-    q = RxQueue(m.sim, CbrProcess(1000))
-    from repro.nic.txqueue import TxBuffer
-
-    with pytest.raises(ValueError):
-        PollModeLcore(m, [q], CountingApp(), tx_buffers=[
-            TxBuffer(m.sim), TxBuffer(m.sim)
-        ])
-
-
 def test_app_sees_tagged_packets():
     m = make_machine()
     q = RxQueue(m.sim, CbrProcess(1_000_000), sample_every=10)
@@ -123,37 +112,3 @@ def test_app_sees_tagged_packets():
     lcore.start()
     m.run(until=10 * MS)
     assert app.tagged_seen >= 900
-
-
-def test_mbuf_pool_normal_operation_recycles():
-    from repro.dpdk.mbuf import MbufPool
-
-    m = make_machine()
-    q = RxQueue(m.sim, CbrProcess(1_000_000), sample_every=64)
-    pool = MbufPool(512)
-    lcore = PollModeLcore(m, [q], CountingApp(), mbuf_pool=pool)
-    lcore.start()
-    m.run(until=10 * MS)
-    # steady state: buffers cycle rx -> tx -> pool, no starvation
-    assert lcore.mbuf_drops == 0
-    assert pool.in_use <= lcore.tx_buffers[0].batch_threshold
-    assert pool.gives > 0
-
-
-def test_mbuf_leak_starves_rx():
-    """Injected leak: transmitted buffers are never returned to the
-    pool, so rx eventually cannot obtain descriptively-backed packets —
-    the classic DPDK mbuf-leak failure mode."""
-    from repro.dpdk.mbuf import MbufPool
-
-    m = make_machine()
-    q = RxQueue(m.sim, CbrProcess(5_000_000), sample_every=64)
-    pool = MbufPool(256)
-    lcore = PollModeLcore(m, [q], CountingApp(), mbuf_pool=pool)
-    # break the give-back path: tx "forgets" to free
-    lcore.tx_buffers[0].on_flush = None
-    lcore.start()
-    m.run(until=5 * MS)
-    assert pool.available == 0
-    assert lcore.mbuf_drops > 1000
-    assert lcore.rx_packets <= 256

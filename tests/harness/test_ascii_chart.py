@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.ascii_chart import line_chart, resample, sparkline
+from repro.harness.ascii_chart import resample, sparkline
 
 
 class TestSparkline:
@@ -22,30 +22,6 @@ class TestSparkline:
 
     def test_length_preserved(self):
         assert len(sparkline(list(range(100)))) == 100
-
-
-class TestLineChart:
-    def test_renders_all_series_markers(self):
-        chart = line_chart([
-            ("up", [0, 1, 2, 3]),
-            ("down", [3, 2, 1, 0]),
-        ], width=20, height=6)
-        assert "*" in chart and "o" in chart
-        assert "up" in chart and "down" in chart
-
-    def test_axis_labels(self):
-        chart = line_chart([("s", [2.0, 8.0])], width=10, height=4)
-        assert "8.00" in chart
-        assert "2.00" in chart
-
-    def test_empty(self):
-        assert line_chart([]) == "(no data)"
-        assert line_chart([("s", [])]) == "(no data)"
-
-    def test_width_respected(self):
-        chart = line_chart([("s", list(range(200)))], width=30, height=5)
-        for row in chart.splitlines()[:5]:
-            assert len(row) <= 11 + 1 + 30
 
 
 class TestResample:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.campaign import FIGURES, render_figure, run_figure
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.harness.scaling import FAST_SCALE
 
 
 def test_list_command(capsys):
@@ -13,9 +15,8 @@ def test_list_command(capsys):
 
 
 def test_experiment_registry_covers_paper():
-    for expected in ("table1", "table2", "table3", "fig2", "fig5", "fig6",
-                     "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-                     "fig13", "fig14", "fig15"):
+    for expected in (*FIGURES, "fig2", "fig5", "fig10", "fig11", "fig14",
+                     "fig15"):
         assert expected in EXPERIMENTS
 
 
@@ -42,7 +43,14 @@ def test_run_small_experiment(capsys):
     assert main(["run", "fig7", "--fast", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "Figure 7" in out
-    assert "busy tries" in out
+    assert FIGURES["fig7"].headers[1] in out  # the busy-try fraction
+
+
+def test_run_prints_the_registry_table(capsys):
+    """``repro run`` prints exactly what the figure's benchmark archives."""
+    assert main(["run", "fig7", "--fast", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == render_figure("fig7", run_figure("fig7", FAST_SCALE, 3)) + "\n"
 
 
 def test_parser_defaults():

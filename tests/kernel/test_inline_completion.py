@@ -460,8 +460,8 @@ def test_tail_wake_on_idle_core_inlines_first_chunk():
 
 
 def test_tail_wake_onto_core_with_runnable_thread_does_not_inline():
-    """A second thread keeps the runqueue non-empty (``rq_len > 0``):
-    the tail flag changes nothing."""
+    """A second thread keeps the runqueue non-empty: the tail flag
+    changes nothing."""
     def hog(m, _t):
         def body(kt):
             while True:

@@ -258,6 +258,24 @@ def test_runnable_count(machine):
     assert machine.scheduler.runnable_count(machine.cores[0]) == 2
 
 
+def test_min_vruntime_follows_the_runqueue_head():
+    """``min_vruntime`` rises to the smaller of the running thread's and
+    the runqueue head's vruntime, so it never passes a waiting hog's:
+    with two threads waiting, the head must be the heap's minimum."""
+    m = make_machine(num_cores=1)
+    hogs = [m.spawn(compute_loop([50 * MS]), name=n, core=0) for n in "abc"]
+    cs = m.scheduler._cs[0]
+    seen = []
+
+    def sample():
+        seen.append(cs.min_vruntime <= min(t.vruntime for t in hogs))
+        m.sim.call_after(100 * US, sample)
+
+    m.sim.call_after(100 * US, sample)
+    m.run(until=20 * MS)
+    assert len(seen) >= 190 and all(seen)
+
+
 def test_wake_from_own_body_preempts_at_the_next_action():
     """A running thread that wakes a higher-priority thread on its own
     core keeps the CPU until its body reaches its next action; the

@@ -161,15 +161,6 @@ def test_event_late_callback_runs_immediately():
     assert got == [7]
 
 
-def test_timeout_event_fires():
-    sim = Simulator()
-    ev = sim.timeout_event(25, value="done")
-    sim.run()
-    assert ev.triggered
-    assert ev.value == "done"
-    assert sim.now == 25
-
-
 def test_many_events_performance_smoke():
     sim = Simulator()
     counter = {"n": 0}

@@ -64,26 +64,18 @@ def validate(records: Sequence[Record],
 class ListSchedule:
     """The list-backed counting both arrival classes used to copy."""
 
-    def __init__(self, times: List[int], flows: List[int], lens: List[int],
-                 cycle: int, loop: bool, start: int = 0):
+    def __init__(self, times: List[int], flows: List[int], lens: List[int]):
         self._times = times
         self._flows = flows
         self._lens = lens
         self._n = len(times)
-        self._cycle = max(1, cycle)
-        self.loop = loop
-        self.start = start
-        self.last_t = start
+        self.last_t = 0
         self.total = 0
 
     def _count_at(self, t: int) -> int:
-        rel = t - self.start
-        if rel <= 0 or self._n == 0:
+        if t <= 0 or self._n == 0:
             return 0
-        if not self.loop:
-            return bisect_right(self._times, rel)
-        cycles, rem = divmod(rel, self._cycle)
-        return cycles * self._n + bisect_right(self._times, rem)
+        return bisect_right(self._times, t)
 
     def advance(self, t1: int) -> int:
         if t1 < self.last_t:
@@ -96,19 +88,12 @@ class ListSchedule:
     def next_arrival_after(self, t: int) -> Optional[int]:
         if self._n == 0:
             return None
-        rel = t - self.start
-        if rel < 0:
-            return self.start + self._times[0]
-        if not self.loop:
-            idx = bisect_right(self._times, rel)
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, rem = divmod(rel, self._cycle)
-        idx = bisect_right(self._times, rem)
-        if idx < self._n:
-            return self.start + cycles * self._cycle + self._times[idx]
-        return self.start + (cycles + 1) * self._cycle + self._times[0]
+        if t < 0:
+            return self._times[0]
+        idx = bisect_right(self._times, t)
+        if idx >= self._n:
+            return None
+        return self._times[idx]
 
     def time_for_count(self, t: int, k: int) -> Optional[int]:
         if k <= 0:
@@ -116,28 +101,17 @@ class ListSchedule:
         if self._n == 0:
             return None
         idx = self._count_at(t) + k - 1
-        if not self.loop:
-            if idx >= self._n:
-                return None
-            return self.start + self._times[idx]
-        cycles, j = divmod(idx, self._n)
-        return self.start + cycles * self._cycle + self._times[j]
+        if idx >= self._n:
+            return None
+        return self._times[idx]
 
     def flow_of(self, seq: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._flows[seq % self._n]
-        if seq >= self._n:
+        if self._n == 0 or seq >= self._n:
             return None
         return self._flows[seq]
 
     def len_of(self, seq: int) -> Optional[int]:
-        if self._n == 0:
-            return None
-        if self.loop:
-            return self._lens[seq % self._n]
-        if seq >= self._n:
+        if self._n == 0 or seq >= self._n:
             return None
         return self._lens[seq]
 
@@ -146,28 +120,19 @@ class ReferenceReplay(ListSchedule):
     """``TraceReplayProcess``, one record at a time."""
 
     def __init__(self, records: Sequence[Record], phases: Sequence[Phase],
-                 duration_ns: int, speedup: float = 1.0, loop: bool = False,
-                 jitter: float = 0.0, jitter_rng=None, start: int = 0):
+                 duration_ns: int):
         times: List[int] = []
         flows: List[int] = []
         lens: List[int] = []
-        t_f = 0.0
-        prev_rec = 0
         prev_out = 1
         for t_ns, length, flow in records:
-            gap = (t_ns - prev_rec) / speedup
-            if jitter > 0:
-                gap *= 1.0 + jitter * (2.0 * jitter_rng.random() - 1.0)
-            t_f += gap
-            prev_rec = t_ns
-            prev_out = max(prev_out, int(t_f))
+            prev_out = max(prev_out, t_ns)
             times.append(prev_out)
             flows.append(flow)
             lens.append(length)
-        scaled_dur = int(duration_ns / speedup)
-        cycle = max(scaled_dur, (times[-1] + 1) if times else 1)
-        super().__init__(times, flows, lens, cycle, loop, start)
-        # scaled (start, end, nominal_pps) windows for rate_at()
+        super().__init__(times, flows, lens)
+        self._cycle = max(duration_ns, (times[-1] + 1) if times else 1)
+        # (start, end, nominal_pps) windows for rate_at()
         self._windows: List[Tuple[int, int, float]] = []
         rec_times = [r[0] for r in records]
         for i, phase in enumerate(phases):
@@ -176,8 +141,7 @@ class ReferenceReplay(ListSchedule):
                 hi = len(rec_times)
             else:
                 hi = bisect_left(rec_times, phase.end_ns)
-            s = int(phase.start_ns / speedup)
-            e = max(s + 1, int(phase.end_ns / speedup))
+            s, e = phase.start_ns, phase.end_ns
             self._windows.append((s, e, (hi - lo) * SEC / (e - s)))
         if not phases and self._n:
             self._windows.append((0, self._cycle,
@@ -186,25 +150,19 @@ class ReferenceReplay(ListSchedule):
     def rate_at(self, t: int) -> float:
         if self._n == 0:
             return 0.0
-        rel = t - self.start
-        if self.loop:
-            rel %= self._cycle
         for s, e, pps in self._windows:
-            if s <= rel < e:
+            if s <= t < e:
                 return pps
         return 0.0
 
 
 class ReferenceShard(ListSchedule):
-    """``ReplayShard``: a queue's subsequence on the master's cycle."""
+    """``ReplayShard``: a queue's subsequence of the master schedule."""
 
     def rate_at(self, t: int) -> float:
         if self._n == 0:
             return 0.0
-        rel = t - self.start
-        if self.loop:
-            return self._n * SEC / self._cycle
-        if 0 <= rel <= self._times[-1]:
+        if 0 <= t <= self._times[-1]:
             return self._n * SEC / max(1, self._times[-1])
         return 0.0
 
@@ -226,6 +184,5 @@ def shard(master: ListSchedule, num_queues: int,
         per[q][0].append(t)
         per[q][1].append(flow)
         per[q][2].append(length)
-    return [ReferenceShard(times, flow_ids, lens, master._cycle,
-                           bool(master.loop), start=master.start)
+    return [ReferenceShard(times, flow_ids, lens)
             for times, flow_ids, lens in per]

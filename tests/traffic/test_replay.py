@@ -3,7 +3,6 @@
 import pytest
 
 from repro.nic.topology import rss_shard
-from repro.sim.rng import RandomStreams
 from repro.traffic import Phase, Trace, TraceReplayProcess
 
 
@@ -18,7 +17,7 @@ def test_advance_totals_match_record_count():
     p = TraceReplayProcess(make_trace())
     assert p.advance(1000) == 4
     assert p.total == 4
-    assert p.advance(5000) == 0  # no loop: trace exhausted
+    assert p.advance(5000) == 0  # trace exhausted
 
 
 def test_stepwise_equals_one_shot():
@@ -43,29 +42,6 @@ def test_exact_schedule_and_next_arrival():
     assert p.next_arrival_after(-50) == 100  # before start
 
 
-def test_speedup_scales_gaps():
-    p = TraceReplayProcess(make_trace(), speedup=2.0)
-    assert p.next_arrival_after(0) == 50
-    assert p.advance(500) == 4  # whole trace fits in half the time
-
-
-def test_start_offset_shifts_schedule():
-    p = TraceReplayProcess(make_trace(), start=10_000)
-    assert p.next_arrival_after(0) == 10_100
-    assert p.advance(10_000) == 0
-    assert p.advance(11_000) == 4
-
-
-def test_loop_exact_cycle_arithmetic():
-    t = make_trace()
-    p = TraceReplayProcess(t, loop=True)
-    cycle = t.duration_ns  # 1000
-    assert p.advance(3 * cycle) == 12
-    # wrap: after the last arrival of a cycle, the next is cycle+first
-    q = TraceReplayProcess(t, loop=True)
-    assert q.next_arrival_after(900) == cycle + 100
-
-
 def test_time_for_count_is_exact():
     p = TraceReplayProcess(make_trace())
     assert p.time_for_count(0, 1) == 100
@@ -76,12 +52,14 @@ def test_time_for_count_is_exact():
 
 
 def test_time_for_count_matches_next_arrival_when_k_is_1():
-    p = TraceReplayProcess(make_trace(), loop=True)
-    t = 0
-    for _ in range(50):
+    p = TraceReplayProcess(make_trace())
+    t, seen = 0, 0
+    while t is not None:
         nxt = p.next_arrival_after(t)
         assert p.time_for_count(t, 1) == nxt
         t = nxt
+        seen += 1
+    assert seen == 5  # four arrivals, then None
 
 
 def test_rate_at_reports_phase_rates():
@@ -90,8 +68,6 @@ def test_rate_at_reports_phase_rates():
     assert p.rate_at(0) == pytest.approx(3 * 1e9 / 500)
     assert p.rate_at(600) == pytest.approx(1 * 1e9 / 500)
     assert p.rate_at(2000) == 0.0
-    looped = TraceReplayProcess(make_trace(), loop=True)
-    assert looped.rate_at(1000 + 600) == pytest.approx(1 * 1e9 / 500)
 
 
 def test_flow_and_len_plumbing():
@@ -99,49 +75,6 @@ def test_flow_and_len_plumbing():
     assert [p.flow_of(i) for i in range(4)] == [3, 5, 3, 9]
     assert [p.len_of(i) for i in range(4)] == [64, 128, 64, 256]
     assert p.flow_of(4) is None and p.len_of(4) is None
-    looped = TraceReplayProcess(make_trace(), loop=True)
-    assert looped.flow_of(5) == 5  # 5 % 4 == 1
-    assert looped.len_of(7) == 256
-
-
-def test_jitter_is_deterministic_per_stream():
-    t = make_trace()
-
-    def schedule(seed):
-        rng = RandomStreams(seed).stream("traffic.jitter")
-        p = TraceReplayProcess(t, jitter=0.3, jitter_rng=rng)
-        return [p.next_arrival_after(0), p.time_for_count(0, 4)]
-
-    assert schedule(7) == schedule(7)
-    assert schedule(7) != schedule(8)
-
-
-def test_jitter_zero_equals_base_schedule():
-    t = make_trace()
-    rng = RandomStreams(1).stream("traffic.jitter")
-    base = TraceReplayProcess(t)
-    jit = TraceReplayProcess(t, jitter=0.0, jitter_rng=rng)
-    assert [jit.time_for_count(0, k) for k in range(1, 5)] == \
-        [base.time_for_count(0, k) for k in range(1, 5)]
-
-
-def test_jittered_schedule_stays_monotonic():
-    t = make_trace()
-    rng = RandomStreams(42).stream("traffic.jitter")
-    p = TraceReplayProcess(t, jitter=0.9, jitter_rng=rng)
-    times = [p.time_for_count(0, k) for k in range(1, 5)]
-    assert times == sorted(times)
-    assert times[0] >= 1
-
-
-def test_validation():
-    t = make_trace()
-    with pytest.raises(ValueError, match="speedup"):
-        TraceReplayProcess(t, speedup=0)
-    with pytest.raises(ValueError, match="jitter"):
-        TraceReplayProcess(t, jitter=1.0)
-    with pytest.raises(ValueError, match="RNG stream"):
-        TraceReplayProcess(t, jitter=0.2)
 
 
 def test_empty_trace_is_silent():
@@ -154,25 +87,43 @@ def test_empty_trace_is_silent():
 
 
 def test_phases_abs_and_boundaries():
-    p = TraceReplayProcess(make_trace(), start=2000)
-    assert p.phases_abs() == [("a", 2000, 2500), ("b", 2500, 3000)]
-    assert p.phase_boundaries() == [(2000, "a"), (2500, "b")]
-    fast = TraceReplayProcess(make_trace(), speedup=2.0)
-    assert fast.phases_abs() == [("a", 0, 250), ("b", 250, 500)]
+    p = TraceReplayProcess(make_trace())
+    assert p.phases_abs() == [("a", 0, 500), ("b", 500, 1000)]
+    assert p.phase_boundaries() == [(0, "a"), (500, "b")]
 
 
 def test_snapshot_state_pins_cursor_and_knobs():
-    p = TraceReplayProcess(make_trace(), speedup=2.0, loop=True)
+    p = TraceReplayProcess(make_trace())
     p.advance(300)
     s = p.snapshot_state()
     assert s["kind"] == "trace-replay"
-    assert s["trace_sha"] == make_trace().sha256()[:16]
-    assert s["total"] == p.total and s["last_t"] == 300
-    assert s["speedup"] == 2.0 and s["loop"] is True
+    assert len(s["schedule_sha"]) == 16
+    assert s["n"] == 4
+    assert s["total"] == p.total == 2 and s["last_t"] == 300
     # a rebuilt process advanced identically snapshots identically
-    q = TraceReplayProcess(make_trace(), speedup=2.0, loop=True)
+    q = TraceReplayProcess(make_trace())
     q.advance(300)
     assert q.snapshot_state() == s
+
+
+def test_snapshot_never_serialises_the_trace(monkeypatch):
+    def refuse(self):
+        raise AssertionError("capture serialised the whole trace")
+
+    p = TraceReplayProcess(make_trace())
+    monkeypatch.setattr(Trace, "sha256", refuse)
+    assert p.snapshot_state()["kind"] == "trace-replay"
+
+
+@pytest.mark.parametrize("field", [1, 2])  # frame length, flow id
+def test_schedule_digest_sees_one_changed_record(field):
+    records = make_trace().records
+    changed = list(records[2])
+    changed[field] += 1
+    records[2] = tuple(changed)
+    other = Trace(phases=make_trace().phases, records=records)
+    digest = TraceReplayProcess(make_trace()).snapshot_state()["schedule_sha"]
+    assert TraceReplayProcess(other).snapshot_state()["schedule_sha"] != digest
 
 
 def test_schedule_columns_are_read_only():
