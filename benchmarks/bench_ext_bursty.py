@@ -10,7 +10,7 @@ from repro.harness.experiment import run_metronome, run_xdp
 from repro.harness.report import render_table
 from repro.nic.traffic import OnOffProcess
 from repro.sim.rng import RandomStreams
-from repro.sim.units import MS, US
+from repro.sim.units import US
 
 
 def _run():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.units import MS, SEC, US
+from repro.sim.units import MS, US
 
 # --------------------------------------------------------------------- #
 # CPU

@@ -29,7 +29,7 @@ Two robustness mechanisms ride on top of the paper's loop:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro import config

@@ -140,8 +140,12 @@ class OndemandGovernor:
             new_freq = int(min(base, max(config.MIN_FREQ_HZ, target)))
         if new_freq != core.freq:
             self.machine.power.on_core_transition(core)
+            # the running chunk's progress so far ran at the old speed:
+            # charge it before the write, re-program it after
+            scheduler = self.machine.scheduler
+            scheduler.account_core(core)
             core.freq = new_freq
-            self.machine.scheduler.on_freq_change(core)
+            scheduler.reprogram_core(core)
 
 
 def make_governor(machine: "Machine", name: str):

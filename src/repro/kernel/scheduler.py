@@ -165,14 +165,10 @@ class CfsScheduler:
             # second handler arriving mid-window runs after the first)
             self.occupy_idle_irq(core, duration_ns)
 
-    def on_freq_change(self, core: Core) -> None:
-        """Re-program the running chunk after a governor frequency change."""
-        self.account_core(core)
-        self.reprogram_core(core)
-
     def account_core(self, core: Core) -> None:
         """Charge the running thread's progress up to now (at the speed
-        still in effect).  Public for speed-coupling transitions (SMT)."""
+        still in effect).  Public for speed changes: a governor
+        frequency step and an SMT sibling's busy flip."""
         cs = self._cs[core.index]
         if core.current is not None and cs.completion is not None:
             self._account(cs)

@@ -45,7 +45,7 @@ _WALLCLOCK_DATETIME = {
 #: method names whose call inside a loop body means the loop drives the
 #: simulation (scheduling, RNG draws, thread/timer control)
 _EFFECT_METHODS = {
-    "call_at", "call_after", "timeout_event", "succeed", "schedule",
+    "call_at", "call_after", "succeed", "schedule",
     "spawn", "stream", "numpy_stream", "wake", "wake_all", "arm",
     "cancel", "start_thread", "sleep", "fire", "inject",
     "push", "pop", "enqueue", "dequeue", "rx_burst", "tx_burst",

@@ -9,6 +9,11 @@ published Microsoft/Intel verification vectors.
 Used by the multi-queue scenarios to decide which queue a tagged
 packet's flow belongs to, replacing the "independent process per queue"
 approximation with the NIC's real steering function when desired.
+
+:func:`toeplitz_hash` is the specification, one input bit at a time.
+:class:`RssSteering` hashes by table lookup instead: the hash is linear
+over XOR, so each input byte adds the hash of that byte alone at its
+position (the tests pin the two paths against each other).
 """
 
 from __future__ import annotations
@@ -49,27 +54,6 @@ def toeplitz_hash(key: bytes, data: bytes) -> int:
     return result
 
 
-def hash_ipv4_tuple(
-    src_ip: int, dst_ip: int, src_port: int, dst_port: int,
-    key: bytes = MICROSOFT_KEY,
-) -> int:
-    """RSS input for TCP/UDP over IPv4: src ip, dst ip, src port, dst
-    port, big-endian concatenated (the Microsoft canonical layout)."""
-    data = (
-        src_ip.to_bytes(4, "big")
-        + dst_ip.to_bytes(4, "big")
-        + src_port.to_bytes(2, "big")
-        + dst_port.to_bytes(2, "big")
-    )
-    return toeplitz_hash(key, data)
-
-
-def hash_ipv4_only(src_ip: int, dst_ip: int, key: bytes = MICROSOFT_KEY) -> int:
-    """RSS input for non-TCP/UDP IPv4: addresses only."""
-    data = src_ip.to_bytes(4, "big") + dst_ip.to_bytes(4, "big")
-    return toeplitz_hash(key, data)
-
-
 class RssSteering:
     """The NIC's queue-steering function: hash + redirection table."""
 
@@ -81,15 +65,36 @@ class RssSteering:
         self.key = key
         #: the indirection table (ethtool -x); default round-robin fill
         self.table: List[int] = [i % num_queues for i in range(table_size)]
+        #: per input position, the hash of each byte value alone there
+        #: (filled on first use)
+        self._tables: List[List[int]] = []
+
+    def hash_input(self, data: bytes) -> int:
+        """``toeplitz_hash(self.key, data)``, one lookup per byte."""
+        tables = self._tables
+        for pos in range(len(tables), len(data)):
+            # entry b is the XOR of the hashes of b's set bits, each
+            # alone at this position; doubling fills it bit by bit
+            table = [0]
+            for bit in (1, 2, 4, 8, 16, 32, 64, 128):
+                w = toeplitz_hash(self.key, bytes(pos) + bytes((bit,)))
+                table += [entry ^ w for entry in table]
+            tables.append(table)
+        h = 0
+        for table, byte in zip(tables, data):
+            h ^= table[byte]
+        return h
 
     def queue_for(self, header: PacketHeader) -> int:
         """Queue index the NIC would deliver this packet to."""
+        # src ip, dst ip and, for TCP/UDP, src port, dst port,
+        # big-endian (the Microsoft canonical layout)
+        data = (header.src_ip.to_bytes(4, "big")
+                + header.dst_ip.to_bytes(4, "big"))
         if header.proto in (6, 17):
-            h = hash_ipv4_tuple(header.src_ip, header.dst_ip,
-                                header.src_port, header.dst_port, self.key)
-        else:
-            h = hash_ipv4_only(header.src_ip, header.dst_ip, self.key)
-        return self.table[h % len(self.table)]
+            data += (header.src_port.to_bytes(2, "big")
+                     + header.dst_port.to_bytes(2, "big"))
+        return self.table[self.hash_input(data) % len(self.table)]
 
     def retarget(self, entries: Sequence[int]) -> None:
         """Rewrite the redirection table (the ethtool flow-steering the

@@ -30,6 +30,14 @@ from repro.nic.rss import MICROSOFT_KEY, RssSteering
 from repro.nic.traffic import ArrivalProcess
 from repro.sim.units import SEC
 
+#: later than any int64 arrival time
+_NEVER = 1 << 63
+#: entries past the counted prefix a count first searches.  Few syncs
+#: bring more arrivals: on ``xdp-trace`` at seed 1, 46,598 of 46,607
+#: ``advance`` calls and all 8,057 ``next_arrival_after`` calls count
+#: at most 64 past the prefix (16,157 of the syncs count none)
+_WINDOW = 64
+
 
 def frozen_column(values) -> np.ndarray:
     """``values`` as a read-only, contiguous ``int64`` array.
@@ -47,39 +55,61 @@ class FixedSchedule(ArrivalProcess):
     ``times`` is non-decreasing and ``>= 1`` (arrivals live in
     ``(0, t]``); ``flows``/``lens`` are aligned with it.  All three
     columns are read-only arrays; the per-event lookups (``bisect`` on
-    every ``sync``) run on a list copy of ``times``, which is several
-    times faster there than ``searchsorted`` on the array.  Every count
-    is one ``bisect``: no time before the first entry counts anything.
+    a ``sync``) run on a memoryview of ``times``, which reads Python
+    ints straight from the column (several times faster there than
+    ``searchsorted``, with no per-record copy).  Every count is one
+    ``bisect``: no time before the first entry counts anything.  A
+    count at or after ``last_t`` searches only past the ``total``
+    arrivals already counted, first within the next ``_WINDOW``
+    entries, and ``advance`` skips the search while nothing new is due.
     """
 
     def __init__(self, times, flows, lens):
         self._schedule = frozen_column(times)
         self._flows = frozen_column(flows)
         self._lens = frozen_column(lens)
-        self._times: List[int] = self._schedule.tolist()
+        self._times = memoryview(self._schedule)
         self._n = len(self._times)
         self.last_t = 0
         self.total = 0
+        #: the first arrival not yet counted (past every int64 at the end)
+        self._next_t = self._times[0] if self._n else _NEVER
 
     # -- counting --------------------------------------------------------- #
 
     def advance(self, t1: int) -> int:
         if t1 < self.last_t:
             raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
-        n = bisect_right(self._times, t1) - self.total
-        self.total += n
         self.last_t = t1
+        if t1 < self._next_t:
+            return 0
+        total = self._count_at(t1)
+        n = total - self.total
+        self.total = total
+        self._next_t = self._times[total] if total < self._n else _NEVER
         return n
 
+    def _count_at(self, t: int) -> int:
+        """``bisect_right(times, t)``: the arrivals in ``(0, t]``."""
+        times = self._times
+        if t < self.last_t:
+            return bisect_right(times, t)
+        # the first ``total`` entries are <= last_t <= t
+        lo = self.total
+        hi = lo + _WINDOW
+        if hi < self._n and times[hi] > t:
+            return bisect_right(times, t, lo, hi)
+        return bisect_right(times, t, lo)
+
     def next_arrival_after(self, t: int) -> Optional[int]:
-        idx = bisect_right(self._times, t)
+        idx = self._count_at(t)
         return self._times[idx] if idx < self._n else None
 
     def time_for_count(self, t: int, k: int) -> Optional[int]:
         """Exact: the arrival time of the k-th packet after ``t``."""
         if k <= 0:
             return t
-        idx = bisect_right(self._times, t) + k - 1
+        idx = self._count_at(t) + k - 1
         return self._times[idx] if idx < self._n else None
 
     # -- flow plumbing --------------------------------------------------- #

@@ -33,7 +33,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a kernel<->sim cycle
     from repro.kernel.machine import Machine

@@ -21,6 +21,7 @@ The catalogue mirrors the Waterclau benign/attack generator split
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -123,7 +124,7 @@ class TraceSpec:
 
 
 def _gen_window(rng, spec: PhaseSpec, w_start: int, w_end: int,
-                times: List[int], flows: List[int]) -> None:
+                times: array, flows: array) -> None:
     """Emit one continuous traffic window of ``spec``: its arrival
     times and one ``randrange`` flow draw per packet, in order."""
     rate = spec.rate_pps
@@ -152,8 +153,10 @@ def _gen_window(rng, spec: PhaseSpec, w_start: int, w_end: int,
 def generate(spec: TraceSpec, seed: int) -> Trace:
     """Materialize ``spec`` into a validated trace.  Pure in (spec, seed)."""
     streams = RandomStreams(seed)
-    times: List[int] = []
-    flows: List[int] = []
+    # flat int64 buffers (8 bytes a record) that become the trace's
+    # times and flows columns without a copy
+    times = array("q")
+    flows = array("q")
     per_phase: List[int] = []  # records each phase emitted
     phases: List[Phase] = []
     cursor = 0

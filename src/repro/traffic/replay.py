@@ -31,8 +31,13 @@ class TraceReplayProcess(FixedSchedule):
     def __init__(self, trace: Trace):
         trace.validate()
         self.trace = trace
-        # arrivals live in (0, t]: a record at t=0 is counted at 1 ns
-        super().__init__(np.maximum(trace.times, 1), trace.flows, trace.lens)
+        # arrivals live in (0, t]: a record at t=0 is counted at 1 ns.
+        # Times are validated non-decreasing, so only a trace starting
+        # at 0 needs its own schedule; any other shares the trace's.
+        times = trace.times
+        if len(times) and times[0] < 1:
+            times = np.maximum(times, 1)
+        super().__init__(times, trace.flows, trace.lens)
         self._cycle = max(trace.duration_ns,
                           self._times[-1] + 1 if self._n else 1)
         self._phase_windows = self._build_phase_windows()

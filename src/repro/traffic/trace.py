@@ -112,7 +112,11 @@ class Trace:
     @classmethod
     def from_columns(cls, times, lens, flows, phases: Sequence[Phase] = (),
                      meta: Optional[Dict] = None) -> "Trace":
-        """A trace over ready ``times``/``lens``/``flows`` columns."""
+        """A trace over ready ``times``/``lens``/``flows`` columns.
+
+        An ``int64`` array or buffer (e.g. ``array('q')``) is adopted
+        as the column, not copied; its owner must not write to it.
+        """
         trace = cls(phases=phases, meta=meta)
         trace.times, trace.lens, trace.flows = map(frozen_column,
                                                    (times, lens, flows))

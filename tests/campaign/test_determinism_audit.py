@@ -67,6 +67,15 @@ GOLDEN_SHA = {
     ),
 }
 
+#: GOLDEN_SHA's fig13 task runs ``performance`` at 0 Gbps; this pins an
+#: ``ondemand`` one (10 Gbps, scale 0.25), whose frequency steps land
+#: mid-chunk, so a change to how a step charges the running chunk
+#: shows up here
+FIG13_ONDEMAND_TASK = 9
+FIG13_ONDEMAND_SHA = (
+    "60d5ec5a77109b611aa30464af304792cc05eb5c7a60120380a38da652985ae6"
+)
+
 
 def canonical(record) -> bytes:
     return json.dumps(record, sort_keys=True,
@@ -83,6 +92,13 @@ def test_figure_repeats_byte_identical_in_process(name):
     first = canonical(execute_task(spec))
     assert first == canonical(execute_task(spec))
     assert hashlib.sha256(first).hexdigest() == GOLDEN_SHA[name]
+
+
+def test_fig13_ondemand_task_pinned():
+    spec = FIGURES["fig13"].tasks(scale=0.25)[FIG13_ONDEMAND_TASK]
+    assert list(spec.params["governors"]) == ["ondemand"]
+    record = canonical(execute_task(spec))
+    assert hashlib.sha256(record).hexdigest() == FIG13_ONDEMAND_SHA
 
 
 @fork_only

@@ -18,7 +18,6 @@ from repro.campaign.executor import (
     campaign_specs,
     merge_shards,
     run_campaign,
-    run_tasks,
 )
 from repro.campaign.journal import (
     JournalError,

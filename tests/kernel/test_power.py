@@ -132,3 +132,26 @@ def test_energy_monotonically_increases():
     m.sim.call_after(10 * MS, lambda: None)
     m.run()
     assert m.energy_joules() > e1
+
+
+def test_ondemand_step_charges_running_chunk_at_old_speed():
+    """A frequency step mid-chunk: the work done before it ran at the
+    old clock.  1 ms of base work alone on core 0, stepped from 2.1 to
+    1.667 GHz at 0.5 ms: the first half is done by then, the second
+    takes 0.5 ms * 2.1 / 1.667 = 0.63 ms (finish at 1,130,001 ns, the
+    thread starting at 1 ns).  Converting the first half at the new
+    speed instead finishes at 1,260,001 ns."""
+    m = make_machine(num_cores=2, governor="ondemand")
+    done = {}
+
+    def job(kt):
+        yield Compute(1 * MS)
+        done["t"] = m.now
+        yield Exit()
+
+    m.spawn(job, name="job", core=0)
+    core = m.cores[0]
+    m.sim.call_at(MS // 2, m.governor._set_freq, core, 0.5)
+    m.run(until=5 * MS)
+    assert core.freq == 1_666_666_666
+    assert done["t"] == 1_130_001

@@ -2,14 +2,12 @@
 verification vectors ("Verifying the RSS Hash Calculation")."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nic.packet import PacketHeader, ipv4
-from repro.nic.rss import (
-    RssSteering,
-    hash_ipv4_only,
-    hash_ipv4_tuple,
-    toeplitz_hash,
-)
+from repro.nic.rss import RssSteering, toeplitz_hash
+from tests.nic.reference import hash_ipv4_only, hash_ipv4_tuple
 
 # (dst ip, dst port, src ip, src port, expected tcp hash, expected ip hash)
 MS_VECTORS = [
@@ -36,6 +34,50 @@ def test_microsoft_tcp_vectors(dst, dport, src, sport, tcp_hash, ip_hash):
                          MS_VECTORS)
 def test_microsoft_ip_only_vectors(dst, dport, src, sport, tcp_hash, ip_hash):
     assert hash_ipv4_only(src, dst) == ip_hash
+
+
+@pytest.mark.parametrize("dst, dport, src, sport, tcp_hash, ip_hash",
+                         MS_VECTORS)
+def test_steering_matches_microsoft_vectors(dst, dport, src, sport, tcp_hash,
+                                            ip_hash):
+    """The table-driven steering lands every verification vector on the
+    queue its published hash indexes."""
+    rss = RssSteering(num_queues=3)
+    data = (src.to_bytes(4, "big") + dst.to_bytes(4, "big")
+            + sport.to_bytes(2, "big") + dport.to_bytes(2, "big"))
+    assert rss.hash_input(data) == tcp_hash
+    assert rss.hash_input(data[:8]) == ip_hash
+    udp = PacketHeader(src, dst, sport, dport, proto=17)
+    icmp = PacketHeader(src, dst, sport, dport, proto=1)
+    assert rss.queue_for(udp) == rss.table[tcp_hash % len(rss.table)]
+    assert rss.queue_for(icmp) == rss.table[ip_hash % len(rss.table)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.binary(min_size=8, max_size=52),
+       data=st.one_of(st.binary(min_size=8, max_size=8),
+                      st.binary(min_size=12, max_size=12)))
+def test_table_hash_matches_per_bit_reference(key, data):
+    """One lookup per input byte equals the per-bit specification; a
+    key too short for the input is rejected on both paths."""
+    try:
+        want = toeplitz_hash(key, data)
+    except ValueError:
+        with pytest.raises(ValueError, match="key too short"):
+            RssSteering(num_queues=2, key=key).hash_input(data)
+        return
+    steering = RssSteering(num_queues=2, key=key)
+    assert steering.hash_input(data) == want
+    # tables built for the longer input serve the shorter one too
+    assert steering.hash_input(data[:8]) == toeplitz_hash(key, data[:8])
+
+
+def test_tables_built_on_first_use_per_steering():
+    rss = RssSteering(num_queues=4)
+    assert rss._tables == []
+    rss.queue_for(PacketHeader(ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2), 5, 6))
+    assert len(rss._tables) == 12
+    assert RssSteering(num_queues=4)._tables == []
 
 
 def test_key_too_short_rejected():

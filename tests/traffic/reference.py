@@ -17,6 +17,7 @@ from repro.nic.flows import FlowSet
 from repro.nic.rss import RssSteering
 from repro.sim.units import SEC
 from repro.traffic.trace import MAX_FRAME_LEN, Phase, TraceError
+from tests.nic.reference import queue_for
 
 Record = Tuple[int, int, int]
 
@@ -179,7 +180,7 @@ def shard(master: ListSchedule, num_queues: int,
     for t, flow, length in zip(master._times, master._flows, master._lens):
         q = queue_of_flow.get(flow)
         if q is None:
-            q = steering.queue_for(flows.header_of_flow(flow % nf))
+            q = queue_for(steering, flows.header_of_flow(flow % nf))
             queue_of_flow[flow] = q
         per[q][0].append(t)
         per[q][1].append(flow)

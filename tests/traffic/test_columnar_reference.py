@@ -5,7 +5,10 @@ replay schedule and RSS shard loops; hypothesis draws traces (empty,
 one record, duplicate timestamps, flow ids past ``num_flows``) and
 queue counts, and every result must match exactly: the schedule,
 ``cycle_ns``, the shard partition, each ``ArrivalProcess`` method over
-a time grid, and the first validation error.
+a time grid, and the first validation error.  Drawn call orders
+(repeated ``advance`` to one instant, ``advance`` between two
+arrivals, a backwards ``advance``, ``next_arrival_after`` and
+``time_for_count`` interleaved) pin ``advance``'s cached next arrival.
 """
 
 import pytest
@@ -22,8 +25,8 @@ FLOWS = FlowSet(num_flows=16)
 
 
 @st.composite
-def traces(draw):
-    n = draw(st.integers(0, 40))
+def traces(draw, max_records=40):
+    n = draw(st.integers(0, max_records))
     gaps = draw(st.lists(st.one_of(st.just(0), st.integers(0, 3000)),
                          min_size=n, max_size=n))
     times = []
@@ -87,6 +90,72 @@ def test_replay_and_shards_match_reference(trace, queues):
         _assert_same_process(got, want, span)
     # the master last: its advance() runs after the shards were cut
     _assert_same_process(fast, ref, span)
+
+
+def _instants(ref):
+    """Times on, around and between the schedule's arrivals."""
+    points = {0, 1}
+    times = ref._times
+    for t, nxt in zip(times, times[1:] + times[-1:]):
+        points.update((t - 1, t, t + 1, (t + nxt) // 2))
+    return sorted(points)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _interleave(fast, ref, calls):
+    for op, t, k in calls:
+        if op == "again":
+            t = ref.last_t
+        if op in ("advance", "again"):
+            assert _outcome(lambda: fast.advance(t)) == _outcome(
+                lambda: ref.advance(t)), (op, t)
+            assert (fast.total, fast.last_t) == (ref.total, ref.last_t)
+        elif op == "next":
+            assert fast.next_arrival_after(t) == ref.next_arrival_after(t)
+        else:
+            assert fast.time_for_count(t, k) == ref.time_for_count(t, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=traces(max_records=300), queues=st.integers(1, 4),
+       data=st.data())
+def test_interleaved_calls_match_reference(trace, queues, data):
+    fast = TraceReplayProcess(trace)
+    ref = reference.ReferenceReplay(trace.records, trace.phases,
+                                    trace.duration_ns)
+    pairs = [(fast, ref), *zip(rss_shard(fast, queues, flows=FLOWS),
+                               reference.shard(ref, queues, FLOWS))]
+    for got, want in pairs:
+        calls = data.draw(st.lists(st.tuples(
+            st.sampled_from(["advance", "again", "next", "count"]),
+            st.sampled_from(_instants(want)),
+            st.integers(0, 3),
+        ), max_size=30))
+        _interleave(got, want, calls)
+
+
+@pytest.mark.parametrize("step", [1, 7, 31, 32, 33, 63, 64, 65, 130, 1000])
+def test_counts_across_the_search_window_match_reference(step):
+    """Counting past ``total`` first searches a short window; steps
+    that land inside, on and past its end must all count exactly."""
+    # one arrival per ns, so a step of k ns brings exactly k arrivals,
+    # then runs of duplicate timestamps
+    times = list(range(1, 400)) + [t for t in range(400, 700)
+                                   for _ in range(1 + t % 3)]
+    fast = TraceReplayProcess(Trace(records=[(t, 64, 0) for t in times]))
+    ref = reference.ReferenceReplay([(t, 64, 0) for t in times], [],
+                                    times[-1])
+    calls = []
+    for t in range(0, times[-1] + step + 2, step):
+        calls += [("next", t, 0), ("count", t, 3), ("advance", t, 0),
+                  ("again", t, 0), ("count", t, 1)]
+    _interleave(fast, ref, calls)
 
 
 @st.composite
