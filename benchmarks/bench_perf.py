@@ -26,5 +26,5 @@ def test_perf_suite(benchmark):
     )
     churn = result["benches"]["event_churn"]
     print(f"\nevent churn: {churn['events_per_sec']:,.0f} ev/s "
-          f"({churn['speedup']:.2f}x over the pre-calendar heap)")
+          f"({churn['speedup']:.2f}x over the frozen heap)")
     assert not check_result(result)

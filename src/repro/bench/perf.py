@@ -4,11 +4,11 @@ The suite emits ``BENCH_perf.json`` (see ``docs/PERF.md`` for the
 schema) and can gate CI against a committed baseline.  Two kinds of
 numbers are reported:
 
-* **speedups** — the calendar-queue :class:`~repro.sim.core.Simulator`
-  measured against the frozen pre-calendar heap loop
-  (:class:`~repro.sim.reference.HeapSimulator`) *on the same machine, in
-  the same process*.  Ratios cancel out host speed, so they are the
-  numbers CI gates on.
+* **speedups** — the live heap :class:`~repro.sim.core.Simulator`, which
+  compacts tombstones, measured against the frozen, uncompacted heap
+  loop (:class:`~repro.sim.reference.HeapSimulator`) *on the same
+  machine, in the same process*.  Ratios cancel out host speed, so
+  they are the numbers CI gates on.
 * **absolutes** (events/sec, checkpoint and lint milliseconds) —
   machine-dependent, recorded for the PR-over-PR trajectory only.
 
@@ -18,10 +18,10 @@ by the repository benchmark under ``perfbench/`` instead.
 The churn workload is the simulator-level shape of a Metronome
 deployment: a steady tick of near-future work (sleep expiries) plus a
 fan of long-horizon watchdog timers that are almost always cancelled
-and re-armed (the paper's backup timeout).  Under the old heap every
-cancelled watchdog stayed buried until its far-future expiry, so the
-heap grew without bound; the calendar queue compacts tombstones away,
-which is where the large speedup comes from.
+and re-armed (the paper's backup timeout).  In the frozen heap every
+cancelled watchdog stays buried until its far-future expiry, so the
+heap grows without bound; the live core drops tombstones once they
+outnumber live entries, which is where the large speedup comes from.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def run_benches(quick: bool = False,
                 progress: Optional[Callable[[str], None]] = None) -> Dict:
     """Run the full suite and return the ``BENCH_perf.json`` payload."""
     say = progress or (lambda _msg: None)
-    say("event churn (calendar vs frozen heap)...")
+    say("event churn (live heap vs frozen heap)...")
     churn = bench_event_churn(quick)
     say(f"  {churn['events_per_sec']:,.0f} ev/s, speedup {churn['speedup']:.2f}x")
     say("event fire (pure schedule->fire chain)...")

@@ -8,12 +8,18 @@
     python -m repro quickstart
     python -m repro trace quickstart --out trace.json
 
-Each experiment prints the same table its benchmark archives (the
-campaign registry's figures render through the registry itself);
-``--fast`` cuts durations ~4x for a quick look.  ``trace`` re-runs a
-system with nanosecond event tracing on, exports a Chrome trace-event
-JSON (load it in Perfetto / chrome://tracing) and prints the
-wake-latency anatomy.
+A figure in the campaign registry prints the table the registry
+renders; the benchmark scripts of Tables 1-3 and Figures 6-9, 12 and
+13 archive that same table.  The other ten experiments (``fig2``,
+``fig5``, ``fig10``, ``fig11``, ``fig14``, ``fig15``, ``rotation``,
+``bidir``, ``pacing`` and ``smt``) print a quick-look table built here
+from the same scenario; its columns and sampling may differ from what
+the benchmark archives (``repro run fig11`` has no
+``cpu`` column and samples the ramp at its own stride, ``repro run
+fig2`` has no ``wall s`` column).  ``--fast`` cuts durations ~4x for a
+quick look.  ``trace`` re-runs a system with nanosecond event tracing
+on, exports a Chrome trace-event JSON (load it in Perfetto /
+chrome://tracing) and prints the wake-latency anatomy.
 """
 
 from __future__ import annotations
@@ -372,7 +378,7 @@ def _bench_cmd(args) -> int:
     if not failures:
         churn = result["benches"]["event_churn"]
         print(f"ok: churn speedup {churn['speedup']:.2f}x over the "
-              "pre-calendar heap loop")
+              "frozen heap loop")
     return 1 if failures else 0
 
 

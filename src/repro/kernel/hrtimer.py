@@ -91,7 +91,7 @@ class HrTimerQueue:
     def snapshot_state(self) -> dict:
         """Checkpoint fingerprint: the armed-expiry multiset + counters.
 
-        Timers hold live callbacks, so (like the calendar queue) the
+        Timers hold live callbacks, so (like the event calendar) the
         snapshot pins the observable structure, not the objects.  Pure
         read — nothing is pruned or re-heaped.
         """

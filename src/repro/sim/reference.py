@@ -1,11 +1,14 @@
 """The original binary-heap event loop, frozen as a reference oracle.
 
-This is the pre-calendar-queue :class:`~repro.sim.core.Simulator`,
-kept verbatim (minus the monitor hook) for two consumers:
+This is the first :class:`~repro.sim.core.Simulator`, kept verbatim
+(minus the monitor hook): one heap whose tombstones wait for their due
+time, with no compaction, live counter or in-place firing.  It has two
+consumers:
 
-* the property tests, which drive random schedule/cancel/stop sequences
-  through both engines and assert identical fire order;
-* ``repro bench``, which reports the calendar queue's events/sec as a
+* the property tests, which drive random schedule/cancel/stop/step
+  sequences through both engines and assert identical fire order and
+  next due time;
+* ``repro bench``, which reports the live core's events/sec as a
   speedup over this loop so the perf trajectory has a fixed origin.
 
 It is **not** part of the simulation: nothing under :mod:`repro` other
@@ -50,11 +53,11 @@ class HeapHandle:
 
 
 class HeapSimulator:
-    """The pre-PR event loop: one heap, tombstones popped lazily.
+    """The original event loop: one heap, tombstones popped lazily.
 
     Cancelled entries stay in the heap until their time comes up, so a
     cancel-heavy workload grows the heap without bound — the exact
-    behaviour the calendar queue's compaction removes, and the baseline
+    behaviour the live core's compaction removes, and the baseline
     the churn microbenchmark measures against.
     """
 

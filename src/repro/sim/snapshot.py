@@ -8,7 +8,7 @@ the workload wired onto it.  A checkpoint therefore has two halves:
   stream's full generator state (:meth:`RandomStreams.snapshot_state`
   round-trips through ``getstate``/``setstate``), plus all the plain
   counters of the kernel/NIC/fault models;
-* **structural fingerprints** where it does not — the calendar queue
+* **structural fingerprints** where it does not — the event calendar
   and the armed hrtimers hold live callbacks (bound methods over
   generator coroutines), which no serializer can move between
   processes.  For those the snapshot records a content digest of the

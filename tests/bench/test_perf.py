@@ -38,8 +38,8 @@ def test_fire_workload_is_pure():
     assert sim.pending == 0
 
 
-# speedup > 1.0 is a wall-clock ratio: settrace coverage slows the
-# pure-Python calendar loop far more than the heapq-backed baseline
+# speedup > 1.0 is a wall-clock ratio: settrace coverage slows the live
+# core's per-event bookkeeping more than the frozen heap baseline
 @pytest.mark.no_settrace
 def test_run_benches_payload_schema():
     result = perf.run_benches(quick=True)

@@ -27,9 +27,10 @@ def pytest_runtest_setup(item):
 
     ``tools/coverage.py`` runs the suite with a ``sys.settrace`` hook,
     which slows traced Python code several-fold — but *unevenly*: the
-    calendar-queue hot loop is pure Python while the heap baseline
-    leans on C-level ``heapq``, so wall-clock ratio asserts (bench
-    speedups) can flip under tracing while meaning nothing.  Tests that
+    live core runs more Python lines per event than the frozen heap
+    baseline (live counters, the monitor hook), so wall-clock ratio
+    asserts (bench speedups) can flip under tracing while meaning
+    nothing.  Tests that
     assert on timing mark themselves ``no_settrace``; a coverage run
     skips them, a plain pytest run executes them.  If a marked test
     fails, re-check under plain pytest before chasing the failure.

@@ -369,8 +369,8 @@ def test_advance_to_ignores_cancelled_entries():
 
 
 def test_advance_to_sees_entries_in_every_store():
-    """Far-future heap, later ring buckets and the in-drain side heap
-    all bound the advance."""
+    """Entries due at every horizon, from the next instant to 50 ms out,
+    bound the advance."""
     for due in (5, 70_000, 300_000, 50_000_000):
         sim = Simulator()
         sim.call_at(due, lambda: None)

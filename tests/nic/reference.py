@@ -10,8 +10,8 @@
   :func:`repro.nic.rss.toeplitz_hash`, which ``RssSteering``'s table
   lookups replaced.
 
-Kept as :class:`repro.sim.reference.HeapSimulator` pins the calendar
-queue.
+Kept as :class:`repro.sim.reference.HeapSimulator` pins the event
+core.
 """
 
 from __future__ import annotations

@@ -225,9 +225,8 @@ def test_fired_flag_via_step():
 
 
 def _stored_entries(sim) -> int:
-    """Entries physically held across all of the simulator's stores."""
-    return (len(sim._far) + len(sim._extra) + sim._near_count
-            + len(sim._run) - sim._run_pos)
+    """Entries physically held on the simulator's heap, tombstones included."""
+    return len(sim._heap)
 
 
 def test_cancel_heavy_store_stays_bounded():
@@ -244,7 +243,7 @@ def test_cancel_heavy_store_stays_bounded():
 
     sim.call_after(1_000, tick)
     sim.run()
-    # without compaction the far heap would hold all 5000 tombstones
+    # without compaction the heap would hold all 5000 tombstones
     assert _stored_entries(sim) < 200
     assert sim._dead <= sim._live + 64 + 1
 
@@ -265,7 +264,7 @@ def test_pending_counts_live_entries_only():
 def test_compaction_preserves_fire_order():
     sim = Simulator()
     seen = []
-    # a mix of near (bucketed) and far entries...
+    # a mix of soon-due and far-future entries...
     for i in range(100):
         sim.call_after(100 + i, seen.append, i)
     doomed = [sim.call_after(50_000_000 + i, seen.append, -1)

@@ -232,3 +232,50 @@ def test_fork_into_variant_futures():
     diff = capture(b).diff(capture(c))
     assert diff != []  # the futures genuinely diverged
     assert any(m.startswith("sim") for m in diff)
+
+
+# --------------------------------------------------------------------- #
+# cross-commit pins of the event store's checkpoint fingerprint: a
+# change to how pending entries are stored must leave the live
+# ``(time, seq)`` multiset, the clock and the sequence counter at a
+# mid-run checkpoint exactly where they were
+# --------------------------------------------------------------------- #
+
+
+def _sim_state_at_checkpoint(runner, *args, **kw):
+    seen = {}
+
+    def hook(machine, _state):
+        seen["sim"] = machine.sim.snapshot_state()
+
+    runner(*args, checkpoint_at_ns=10 * MS, at_checkpoint=hook, **kw)
+    return seen["sim"]
+
+
+def test_metronome_checkpoint_pending_digest_pinned():
+    state = _sim_state_at_checkpoint(
+        run_metronome, 2_000_000, duration_ms=20,
+        cfg=config.SimConfig(seed=2020), num_threads=2, cores=[0, 1])
+    assert state == {
+        "now": 10_000_000,
+        "seq": 5_396,
+        "live": 4,
+        "pending_digest": "f4d960efc2ea2b3dd25d0de20154f9a8"
+                          "1e811be05a2327d8d5fb0d98bf6f46a4",
+    }
+
+
+def test_xdp_trace_checkpoint_pending_digest_pinned():
+    from repro.traffic import TraceReplayProcess, benign_phased, generate
+
+    traffic = TraceReplayProcess(generate(benign_phased(duration_ns=20 * MS), 1))
+    state = _sim_state_at_checkpoint(
+        run_xdp, traffic, duration_ms=20, num_queues=4,
+        cfg=config.SimConfig(seed=1))
+    assert state == {
+        "now": 10_000_000,
+        "seq": 6_688,
+        "live": 5,
+        "pending_digest": "369a8b9b9d3c00b0626269624021c2e5"
+                          "0c54d7e89b16e60f72936b09d77e2854",
+    }

@@ -4,7 +4,7 @@ These are the record-at-a-time loops the array code in
 :mod:`repro.traffic.trace`, :mod:`repro.traffic.replay` and
 :mod:`repro.nic.topology` replaced, kept verbatim in behaviour as the
 slow reference the property tests pin the fast paths against (as
-:class:`repro.sim.reference.HeapSimulator` pins the calendar queue).
+:class:`repro.sim.reference.HeapSimulator` pins the event core).
 Everything works on plain Python lists and ints.
 """
 
