@@ -796,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="output JSON path (default BENCH_perf.json)")
     be.add_argument("--check", default=None, metavar="BASELINE",
                     help="gate against a committed baseline JSON; exit 1 "
-                         "on >20% speedup regression or a floor miss")
+                         "on >20%% speedup regression or a floor miss")
     qs = [p for p in sub.choices.values()]
     for p in qs:
         if p.prog.endswith("quickstart"):

@@ -352,7 +352,8 @@ class MetronomeGroup:
                     if will_flush:
                         cost += config.TX_FLUSH_NS
                     yield Compute(cost)
-                    self.app.handle(tagged)
+                    if tagged:
+                        self.app.handle(tagged)
                     sq.txbuf.enqueue(n, tagged)
                 record = sq.tracker.end_busy(sim.now, stats.name)
                 sq.cycles.add(record)

@@ -115,7 +115,8 @@ class PollModeLcore:
                 if will_flush:
                     cost += config.TX_FLUSH_NS
                 yield Compute(cost)
-                self.app.handle(tagged)
+                if tagged:
+                    self.app.handle(tagged)
                 txbuf.enqueue(n, tagged)
 
             now = sim.now
@@ -133,13 +134,19 @@ class PollModeLcore:
                     yield BusySpin(target)
 
     def _next_wakeup(self, now: int, needed: int) -> int:
-        candidates = []
+        """The earliest of each queue's ``needed``-th next arrival and,
+        with Tx packets pending, the next drain; never before ``now``."""
+        best = None
         for queue in self.queues:
             when = queue.process.time_for_count(now, needed)
-            if when is not None:
-                candidates.append(when)
-        if any(tx.pending for tx in self.tx_buffers):
-            candidates.append(self._last_drain + TX_DRAIN_NS)
-        if not candidates:
+            if when is not None and (best is None or when < best):
+                best = when
+        for tx in self.tx_buffers:
+            if tx.pending:
+                drain = self._last_drain + TX_DRAIN_NS
+                if best is None or drain < best:
+                    best = drain
+                break
+        if best is None:
             return now + IDLE_SPIN_NS
-        return max(now, min(candidates))
+        return best if best > now else now

@@ -12,7 +12,12 @@ from repro import config
 
 
 class DescriptorRing:
-    """Occupancy-counting FIFO ring with tail-drop."""
+    """Occupancy-counting FIFO ring with tail-drop.
+
+    ``offer`` and ``pop`` run on every poll, so they work on the
+    sequence window in locals; the ``occupancy``, ``free`` and
+    ``accepted_total`` properties are for readers.
+    """
 
     def __init__(self, capacity: int = config.DEFAULT_RX_RING):
         if not config.MIN_RX_RING <= capacity <= config.MAX_RX_RING:
@@ -51,17 +56,27 @@ class DescriptorRing:
         """
         if n < 0:
             raise ValueError("negative packet count")
-        accepted = min(n, self.free)
-        self.tail_seq += accepted
-        self.drops += n - accepted
-        if self.occupancy > self.max_occupancy:
-            self.max_occupancy = self.occupancy
+        head = self.head_seq
+        tail = self.tail_seq
+        free = self.capacity - (tail - head)
+        if n <= free:
+            accepted = n
+        else:
+            accepted = free
+            self.drops += n - free
+        tail += accepted
+        self.tail_seq = tail
+        if tail - head > self.max_occupancy:
+            self.max_occupancy = tail - head
         return accepted
 
     def pop(self, n: int) -> int:
         """Retrieve up to ``n`` packets; returns how many were popped."""
         if n < 0:
             raise ValueError("negative burst")
-        got = min(n, self.occupancy)
-        self.head_seq += got
+        head = self.head_seq
+        got = self.tail_seq - head
+        if n < got:
+            got = n
+        self.head_seq = head + got
         return got

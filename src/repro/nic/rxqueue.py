@@ -76,7 +76,10 @@ class RxQueue:
         first_seq = self.arrived_total
         self.arrived_total += n
         accepted = self.ring.offer(n)
-        self._tag_interval(t0, t1, first_seq, n, accepted)
+        # the distance to the next multiple of sample_every: only an
+        # interval holding one can tag a packet or count a tagged drop
+        if -first_seq % self.sample_every < n:
+            self._tag_interval(t0, t1, first_seq, n, accepted)
         if self.checks is not None:
             self.checks.on_ring(self)
         return accepted
@@ -88,8 +91,6 @@ class RxQueue:
         # first multiple of k that is >= first_seq
         seq = ((first_seq + k - 1) // k) * k
         end_seq = first_seq + n
-        if seq >= end_seq:
-            return
         span = t1 - t0
         # ring seq of the first packet accepted in this interval: the
         # ring counts accepted packets only, so after any tail-drop the

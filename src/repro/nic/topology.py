@@ -195,8 +195,10 @@ def rss_shard(
     split their *rate* across queues instead.
 
     Each distinct header is hashed once; one gather maps every arrival
-    to its queue, and one boolean mask per queue splits the columns
-    with the records kept in order.
+    to its queue in the narrowest unsigned dtype that holds the queue
+    ids.  One stable sort (a radix sort for 8- and 16-bit keys) groups
+    the records by queue, in order within each, and every column is
+    permuted once: each shard's columns are contiguous slices of those.
     """
     if num_queues < 1:
         raise ValueError("need at least one queue")
@@ -210,17 +212,21 @@ def rss_shard(
     steering = RssSteering(num_queues, key=key, table_size=table_size)
     nf = flows.num_flows
     header_idx = process.schedule_flows % nf
-    queue_of_header = np.zeros(nf, dtype=np.int64)
+    queue_of_header = np.zeros(nf, dtype=np.min_scalar_type(num_queues - 1))
     for h in np.flatnonzero(np.bincount(header_idx, minlength=nf)).tolist():
         queue_of_header[h] = steering.queue_for(flows.header_of_flow(h))
     queue = queue_of_header[header_idx]
+    order = np.argsort(queue, kind="stable")
+    ends = np.cumsum(np.bincount(queue, minlength=num_queues)).tolist()
+    times = process.schedule_times.take(order)
+    flow_ids = process.schedule_flows.take(order)
+    lens = process.schedule_lens.take(order)
     shards = []
-    for q in range(num_queues):
-        mask = queue == q
+    start = 0
+    for q, end in enumerate(ends):
         shards.append(ReplayShard(
-            process.schedule_times[mask],
-            process.schedule_flows[mask],
-            process.schedule_lens[mask],
+            times[start:end], flow_ids[start:end], lens[start:end],
             label=f"shard{q}",
         ))
+        start = end
     return shards

@@ -40,14 +40,12 @@ class TxBuffer:
         #: hardware measurement-path floor added to every tx stamp
         #: (NIC pipelines + PCIe + generator timestamping; see config)
         self.latency_floor_ns = latency_floor_ns
-        self._pending_count = 0
+        #: packets enqueued since the last flush (receivers read it to
+        #: tell whether a burst will flush; only this class writes it)
+        self.pending = 0
         self._pending_tagged: List[TaggedPacket] = []
         self.tx_total = 0
         self.flushes = 0
-
-    @property
-    def pending(self) -> int:
-        return self._pending_count
 
     def enqueue(self, count: int, tagged: List[TaggedPacket]) -> bool:
         """Add ``count`` packets (with their tagged subset) to the buffer.
@@ -56,17 +54,17 @@ class TxBuffer:
         """
         if count < 0:
             raise ValueError("negative count")
-        self._pending_count += count
+        pending = self.pending = self.pending + count
         if tagged:
             self._pending_tagged.extend(tagged)
-        if self._pending_count >= self.batch_threshold:
+        if pending >= self.batch_threshold:
             self.flush()
             return True
         return False
 
     def flush(self) -> int:
         """Transmit everything pending; stamps tagged packets now."""
-        sent = self._pending_count
+        sent = self.pending
         if sent == 0:
             return 0
         now = self.sim.now + self.latency_floor_ns
@@ -76,7 +74,7 @@ class TxBuffer:
                 self.on_tx(pkt)
         self.tx_total += sent
         self.flushes += 1
-        self._pending_count = 0
+        self.pending = 0
         self._pending_tagged = []
         if self.on_flush is not None:
             self.on_flush(sent)

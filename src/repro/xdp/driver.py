@@ -135,7 +135,8 @@ class XdpQueueDriver:
                     break
                 self.packets += n
                 yield Compute(self._warm_cost_ns(n))
-                self.app.handle(tagged)
+                if tagged:
+                    self.app.handle(tagged)
                 self.txbuf.enqueue(n, tagged)
                 if n < budget:
                     break

@@ -1,4 +1,4 @@
-"""Slow references for the NIC's set-up fast paths.
+"""Slow references for the NIC's set-up and poll-path fast paths.
 
 * :class:`EagerFlowSet` — the flow population
   :class:`repro.nic.flows.FlowSet` replaced: it builds every header up
@@ -9,6 +9,12 @@
   — RSS steering through the per-bit
   :func:`repro.nic.rss.toeplitz_hash`, which ``RssSteering``'s table
   lookups replaced.
+* :class:`PropertyRing` and :func:`next_wakeup` — the poll path as it
+  read before its bookkeeping became local integer arithmetic: ring
+  ``offer``/``pop`` through the ``free``/``occupancy`` properties, and
+  the lcore's pacing query over a candidate list.
+  ``tests/nic/test_poll_path_reference.py`` pins each fast path against
+  them.
 
 Kept as :class:`repro.sim.reference.HeapSimulator` pins the event
 core.
@@ -18,8 +24,10 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.dpdk.lcore import IDLE_SPIN_NS, TX_DRAIN_NS, PollModeLcore
 from repro.nic.flows import _mix
 from repro.nic.packet import PacketHeader, ipv4
+from repro.nic.ring import DescriptorRing
 from repro.nic.rss import MICROSOFT_KEY, RssSteering, toeplitz_hash
 
 
@@ -86,3 +94,38 @@ def queue_for(steering: RssSteering, header: PacketHeader) -> int:
     else:
         h = hash_ipv4_only(header.src_ip, header.dst_ip, steering.key)
     return steering.table[h % len(steering.table)]
+
+
+class PropertyRing(DescriptorRing):
+    """``DescriptorRing`` with ``offer``/``pop`` read through properties."""
+
+    def offer(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("negative packet count")
+        accepted = min(n, self.free)
+        self.tail_seq += accepted
+        self.drops += n - accepted
+        if self.occupancy > self.max_occupancy:
+            self.max_occupancy = self.occupancy
+        return accepted
+
+    def pop(self, n: int) -> int:
+        if n < 0:
+            raise ValueError("negative burst")
+        got = min(n, self.occupancy)
+        self.head_seq += got
+        return got
+
+
+def next_wakeup(lcore: PollModeLcore, now: int, needed: int) -> int:
+    """``PollModeLcore._next_wakeup`` over a candidate list."""
+    candidates = []
+    for queue in lcore.queues:
+        when = queue.process.time_for_count(now, needed)
+        if when is not None:
+            candidates.append(when)
+    if any(tx.pending for tx in lcore.tx_buffers):
+        candidates.append(lcore._last_drain + TX_DRAIN_NS)
+    if not candidates:
+        return now + IDLE_SPIN_NS
+    return max(now, min(candidates))
