@@ -57,7 +57,6 @@ class CountingApp(PacketApp):
     def __init__(self, per_packet_ns: int = config.L3FWD_PKT_NS):
         self.per_packet_ns = per_packet_ns
         self.tagged_seen = 0
-        self.batches = 0
 
     def handle(self, tagged: List[TaggedPacket]) -> None:
         self.tagged_seen += len(tagged)

@@ -17,7 +17,7 @@ Timers are armed on the calling thread's core, like Linux pins an
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import config
 from repro.kernel.cpu import Core
@@ -56,11 +56,7 @@ class HrTimer:
 
 
 class HrTimerQueue:
-    """The per-core hrtimer base.
-
-    Also exposes :meth:`next_expiry` so the cpuidle governor can predict
-    idle residency the way the Linux menu governor does.
-    """
+    """The per-core hrtimer base: the pending timers armed on one core."""
 
     def __init__(self, machine: "Machine", core: Core):  # noqa: F821
         self.machine = machine
@@ -101,10 +97,6 @@ class HrTimerQueue:
             "fired_count": self.fired_count,
             "arm_seq": self._arm_seq,
         }
-
-    def next_expiry(self) -> Optional[int]:
-        """Earliest pending expiry on this core (menu-governor input)."""
-        return min((t.expiry for t in self._armed.values()), default=None)
 
     # ------------------------------------------------------------------ #
 

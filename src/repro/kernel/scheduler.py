@@ -358,12 +358,13 @@ class CfsScheduler:
     def _resume_action(self, cs: _CoreSched, thread: KThread) -> None:
         """Continue a partially executed action after preemption."""
         action = thread.action
-        if isinstance(action, Compute):
+        kind = type(action)
+        if kind is Compute:
             if thread.cold_penalty == 1:
                 thread.remaining_work += default_cold_penalty(thread.remaining_work)
                 thread.cold_penalty = 0
             self._program_completion(cs)
-        elif isinstance(action, BusySpin):
+        elif kind is BusySpin:
             thread.cold_penalty = 0
             if action.until <= self.sim.now:
                 self._advance(cs, thread)
@@ -383,7 +384,7 @@ class CfsScheduler:
             cs.completion.cancel()
         thread = cs.core.current
         action = thread.action
-        if isinstance(action, BusySpin):
+        if type(action) is BusySpin:
             wall = max(0, action.until - self.sim.now)
         else:
             wall = cs.core.work_to_wall(thread.remaining_work) + cs.irq_skip
@@ -427,7 +428,8 @@ class CfsScheduler:
                 return
             thread.action = action
 
-            if isinstance(action, Compute):
+            kind = type(action)
+            if kind is Compute:
                 work = action.work_ns
                 if work == 0:
                     continue
@@ -437,18 +439,18 @@ class CfsScheduler:
                 thread.remaining_work = work
                 end = sim.now + (work if core.work_is_wall
                                  else core.work_to_wall(work))
-            elif isinstance(action, BusySpin):
+            elif kind is BusySpin:
                 thread.cold_penalty = 0
                 end = action.until
                 if end <= sim.now:
                     continue
-            elif isinstance(action, Suspend):
+            elif kind is Suspend:
                 if thread.pending_wake:
                     thread.pending_wake = False
                     continue  # wakeup raced ahead: don't sleep
                 self._deschedule(cs, thread, ThreadState.SLEEPING)
                 return
-            elif isinstance(action, YieldCpu):
+            elif kind is YieldCpu:
                 thread.state = ThreadState.RUNNABLE
                 thread.runnable_since = sim.now
                 thread.action = None
@@ -456,7 +458,7 @@ class CfsScheduler:
                 self._enqueue(cs, thread)
                 self._dispatch(cs)
                 return
-            elif isinstance(action, Exit):
+            elif kind is Exit:
                 self._exit_thread(cs, thread, None)
                 return
             else:
@@ -535,7 +537,7 @@ class CfsScheduler:
             return
         thread.cputime_ns += dt
         thread.vruntime += dt * NICE_0_WEIGHT // thread.weight
-        if isinstance(thread.action, Compute):
+        if type(thread.action) is Compute:
             done = cs.core.wall_to_work(dt)
             thread.remaining_work = max(0, thread.remaining_work - done)
         self._update_min_vruntime(cs)

@@ -26,6 +26,11 @@ actions are:
 ``Exit()``
     Terminate.  Equivalent to the generator returning.
 
+The scheduler picks an action's branch by its exact class
+(``type(action) is Compute``), not ``isinstance``: the action classes
+are final, and an instance of a subclass is rejected as an unknown
+action.
+
 Side effects (reading a queue, taking a lock) happen in the body *between*
 yields, i.e. at the simulated instant when the preceding chunk of work
 completed — which is exactly when a real CPU would perform them.

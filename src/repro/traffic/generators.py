@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import log as _log
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
@@ -55,6 +56,14 @@ class PhaseSpec:
     gap_ns: int = 0
 
     def __post_init__(self):
+        for field in ("duration_ns", "rate_pps", "frame_len", "flows",
+                      "burst_ns", "gap_ns"):
+            value = getattr(self, field)
+            # exact type: bool is an int subclass, and a float would
+            # fail (or only warn) deep inside the draws
+            if type(value) is not int:
+                raise ValueError(f"phase {self.name!r}: {field} {value!r} "
+                                 "is not an integer")
         if self.duration_ns <= 0:
             raise ValueError(f"phase {self.name!r}: non-positive duration")
         if self.rate_pps < 0:
@@ -126,28 +135,49 @@ class TraceSpec:
 def _gen_window(rng, spec: PhaseSpec, w_start: int, w_end: int,
                 times: array, flows: array) -> None:
     """Emit one continuous traffic window of ``spec``: its arrival
-    times and one ``randrange`` flow draw per packet, in order."""
+    times and one flow draw per packet, in order.
+
+    Each record draws straight from ``rng``'s Mersenne Twister, the
+    draws ``expovariate``/``randrange`` make on CPython 3.10–3.13: a
+    Poisson gap ``-log(1 - random()) / lam`` (at least 1 ns), then a
+    flow ``getrandbits(nbits)`` redrawn while ``>= flows``, with
+    ``nbits = flows.bit_length()``.  The gap that passes ``w_end`` is
+    drawn and dropped, with no flow after it; a CBR record draws its
+    flow only.  ``tests/traffic/reference.py`` keeps the stdlib-call
+    loop.
+    """
     rate = spec.rate_pps
     if rate <= 0:
         return
-    pick, n_flows = rng.randrange, spec.flows
+    n_flows = spec.flows
+    nbits = n_flows.bit_length()
+    bits = rng.getrandbits
+    add_flow = flows.append
     if spec.arrival == "cbr":
         # exact integer spacing: packet k >= 1 at w_start +
         # ceil(k * SEC / rate), for every k that lands by w_end
         count = (w_end - w_start) * rate // SEC
         times.extend(w_start + (k * SEC + rate - 1) // rate
                      for k in range(1, count + 1))
-        flows.extend(pick(n_flows) for _ in range(count))
+        for _ in range(count):
+            r = bits(nbits)
+            while r >= n_flows:
+                r = bits(nbits)
+            add_flow(r)
     else:  # poisson
         lam = rate / SEC  # packets per ns
-        expo = rng.expovariate
+        rand, add_time = rng.random, times.append
         t = w_start
         while True:
-            t += max(1, int(expo(lam)))
+            # a gap is never negative: int() of -0.0 is 0
+            t += int(-_log(1.0 - rand()) / lam) or 1
             if t > w_end:
                 break
-            times.append(t)
-            flows.append(pick(n_flows))
+            add_time(t)
+            r = bits(nbits)
+            while r >= n_flows:
+                r = bits(nbits)
+            add_flow(r)
 
 
 def generate(spec: TraceSpec, seed: int) -> Trace:

@@ -34,14 +34,6 @@ def test_cancel_after_fire_is_noop(machine):
     assert timer.fired
 
 
-def test_next_expiry(machine):
-    q = machine.hrtimers[0]
-    assert q.next_expiry() is None
-    q.arm(500 * US, lambda: None)
-    q.arm(200 * US, lambda: None)
-    assert q.next_expiry() == 200 * US
-
-
 def test_irq_steals_time_from_running_thread(machine):
     finished = {}
 
@@ -94,7 +86,7 @@ def test_fired_count(machine):
 # --------------------------------------------------------------------- #
 # cancel-leak regression: cancel() used to leave the timer in the
 # queue's _armed map forever (only _fire pruned it, and _fire can no
-# longer run once the sim handle is cancelled), inflating next_expiry()
+# longer run once the sim handle is cancelled)
 # --------------------------------------------------------------------- #
 
 
@@ -127,16 +119,16 @@ def test_armed_map_bounded_under_arm_cancel_churn(machine):
     assert len(q._armed) <= 1
 
 
-def test_next_expiry_after_cancel_churn(machine):
+def test_armed_set_after_cancel_churn(machine):
     q = machine.hrtimers[0]
     doomed = [q.arm((i + 2) * 100 * US, lambda: None) for i in range(50)]
     keeper = q.arm(9 * MS, lambda: None)
     for t in doomed:
         t.cancel()
-    assert q.next_expiry() == 9 * MS
+    assert q.snapshot_state()["armed"] == [9 * MS]
     machine.run(until=20 * MS)
     assert keeper.fired
-    assert q.next_expiry() is None
+    assert q.snapshot_state()["armed"] == []
 
 
 def test_cancel_during_fault_deferral(machine):

@@ -182,6 +182,19 @@ def test_generator_return_terminates(machine):
     assert t.exited.triggered
 
 
+def test_action_subclass_is_an_unknown_action(machine):
+    """The scheduler dispatches on an action's exact class."""
+    class LongCompute(Compute):
+        __slots__ = ()
+
+    def body(kt):
+        yield LongCompute(1 * US)
+
+    machine.spawn(body, name="x", core=0)
+    with pytest.raises(RuntimeError, match="unknown action"):
+        machine.run()
+
+
 def test_irq_injection_stretches_running_chunk(machine):
     done_at = {}
 

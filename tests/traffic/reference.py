@@ -5,7 +5,10 @@ These are the record-at-a-time loops the array code in
 :mod:`repro.nic.topology` replaced, kept verbatim in behaviour as the
 slow reference the property tests pin the fast paths against (as
 :class:`repro.sim.reference.HeapSimulator` pins the event core).
-Everything works on plain Python lists and ints.
+Everything works on plain Python lists and ints, except
+:func:`gen_window`: the generator's window loop through the stdlib
+``expovariate``/``randrange`` calls, filling the same buffers the
+direct draws of :mod:`repro.traffic.generators` fill.
 """
 
 from __future__ import annotations
@@ -60,6 +63,32 @@ def validate(records: Sequence[Record],
                 f"last record at {records[-1][0]} lies past the "
                 f"final phase end {phases[-1].end_ns}"
             )
+
+
+def gen_window(rng, spec, w_start: int, w_end: int, times, flows) -> None:
+    """``generators._gen_window`` through the stdlib calls: one
+    ``expovariate`` per Poisson gap, one ``randrange`` per flow."""
+    rate = spec.rate_pps
+    if rate <= 0:
+        return
+    pick, n_flows = rng.randrange, spec.flows
+    if spec.arrival == "cbr":
+        # exact integer spacing: packet k >= 1 at w_start +
+        # ceil(k * SEC / rate), for every k that lands by w_end
+        count = (w_end - w_start) * rate // SEC
+        times.extend(w_start + (k * SEC + rate - 1) // rate
+                     for k in range(1, count + 1))
+        flows.extend(pick(n_flows) for _ in range(count))
+    else:  # poisson
+        lam = rate / SEC  # packets per ns
+        expo = rng.expovariate
+        t = w_start
+        while True:
+            t += max(1, int(expo(lam)))
+            if t > w_end:
+                break
+            times.append(t)
+            flows.append(pick(n_flows))
 
 
 class ListSchedule:

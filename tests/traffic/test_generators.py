@@ -1,5 +1,7 @@
 """Tests for the seeded trace generators: purity, specs, catalogue."""
 
+import json
+
 import pytest
 
 from repro.sim.units import MS, SEC
@@ -67,6 +69,27 @@ def test_phase_spec_validation():
         TraceSpec("", (PhaseSpec("p", 100, 1000),))
     with pytest.raises(ValueError, match="no phases"):
         TraceSpec("empty")
+
+
+INT_FIELDS = ("duration_ns", "rate_pps", "frame_len", "flows", "burst_ns",
+              "gap_ns")
+
+
+@pytest.mark.parametrize("bad", [256.0, True, "256", None])
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_phase_spec_rejects_non_integer_fields(field, bad):
+    fields = {"name": "p", "duration_ns": 1000, "rate_pps": 1000}
+    fields[field] = bad
+    with pytest.raises(ValueError, match=f"'p': {field} .* is not an "
+                                         "integer"):
+        PhaseSpec(**fields)
+
+
+def test_phase_spec_from_json_rejects_a_float_flow_space():
+    d = json.loads('{"name": "p", "duration_ns": 1000, "rate_pps": 1000, '
+                   '"flows": 256.0}')
+    with pytest.raises(ValueError, match="flows 256.0 is not an integer"):
+        PhaseSpec.from_dict(d)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_TRACES))
