@@ -360,28 +360,6 @@ def _check_cmd(args) -> int:
     return 1 if failed else 0
 
 
-def _bench_cmd(args) -> int:
-    """``repro bench``: perf microbenchmarks (docs/PERF.md)."""
-    import json
-
-    from repro.bench import check_result, load_baseline, run_benches
-
-    result = run_benches(quick=args.quick, progress=print)
-    with open(args.out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {args.out}")
-    baseline = load_baseline(args.check) if args.check else None
-    failures = check_result(result, baseline)
-    for failure in failures:
-        print(f"REGRESSION: {failure}")
-    if not failures:
-        churn = result["benches"]["event_churn"]
-        print(f"ok: churn speedup {churn['speedup']:.2f}x over the "
-              "frozen heap loop")
-    return 1 if failures else 0
-
-
 def _traffic_cmd(args) -> int:
     """``repro traffic``: generate/describe/validate traces
     (docs/TRAFFIC.md)."""
@@ -787,16 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     tval = tfsub.add_parser(
         "validate", help="schema-validate a trace file; exit 2 when invalid")
     tval.add_argument("path")
-    be = sub.add_parser(
-        "bench",
-        help="performance microbenchmarks; emits BENCH_perf.json")
-    be.add_argument("--quick", action="store_true",
-                    help="shorter runs for CI smoke (~15s total)")
-    be.add_argument("--out", default="BENCH_perf.json",
-                    help="output JSON path (default BENCH_perf.json)")
-    be.add_argument("--check", default=None, metavar="BASELINE",
-                    help="gate against a committed baseline JSON; exit 1 "
-                         "on >20%% speedup regression or a floor miss")
     qs = [p for p in sub.choices.values()]
     for p in qs:
         if p.prog.endswith("quickstart"):
@@ -832,8 +800,6 @@ def main(argv: List[str] = None) -> int:
         return _campaign_cmd(args)
     if args.command == "traffic":
         return _traffic_cmd(args)
-    if args.command == "bench":
-        return _bench_cmd(args)
     if args.command == "lint":
         from repro.lint.main import main as lint_main
 

@@ -11,20 +11,16 @@ zero-perturbation state), and bare ``except:`` swallowing
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from repro.lint.astutil import expr_key, stmt_header_exprs, walk_shallow
-from repro.lint.cfg import build_cfg, function_defs
+from repro.lint.cfg import build_cfg, forward_dataflow, function_defs
 from repro.lint.engine import FileContext, Finding, rule
 
 # Handle attributes that remain meaningful after cancel()
 _STATUS_ATTRS = {"cancel", "cancelled", "fired"}
 
 LIVE, CANCELLED, MAYBE = 0, 1, 2
-
-
-def _join(a: int, b: int) -> int:
-    return a if a == b else MAYBE
 
 
 def _cancel_key(node: ast.AST):
@@ -83,27 +79,10 @@ def _handle_uses(fn: ast.AST) -> List[Tuple[ast.AST, str, str]]:
                         state[tk] = LIVE
         return state
 
-    entry = {k: LIVE for k in keys}
-    in_states: Dict[int, Dict[str, int]] = {cfg.entry.id: entry}
-    for _round in range(len(cfg.blocks) * 4 + 8):
-        changed = False
-        for block in cfg.blocks:
-            if block.id not in in_states:
-                continue
-            out = transfer(block, in_states[block.id], [], False)
-            for succ, _label in block.succs:
-                cur = in_states.get(succ.id)
-                if cur is None:
-                    in_states[succ.id] = dict(out)
-                    changed = True
-                else:
-                    merged = {k: _join(cur.get(k, LIVE), out.get(k, LIVE))
-                              for k in keys}
-                    if merged != cur:
-                        in_states[succ.id] = merged
-                        changed = True
-        if not changed:
-            break
+    in_states = forward_dataflow(
+        cfg, {k: LIVE for k in keys}, MAYBE,
+        lambda block, state: transfer(block, state, [], False),
+    )
 
     findings: List[Tuple[ast.AST, str, str]] = []
     seen: Set[Tuple[int, int]] = set()

@@ -23,13 +23,14 @@ conservative CFG per function:
 The graph is deliberately approximate — it over-connects exception
 edges and ignores implicit exceptions outside ``try`` — which keeps the
 rules' dataflow simple while erring toward *not* reporting on paths
-that cannot be ruled out.
+that cannot be ruled out.  :func:`forward_dataflow` is the one fixpoint
+solver the rules run over it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 
 class Block:
@@ -306,6 +307,42 @@ class _Builder:
 def build_cfg(func: ast.AST) -> CFG:
     """The CFG of one ``FunctionDef`` / ``AsyncFunctionDef``."""
     return _Builder(func).build()
+
+
+def forward_dataflow(cfg: CFG, entry: Dict[str, int], maybe: int,
+                     transfer: Callable, edge: Optional[Callable] = None
+                     ) -> Dict[int, Dict[str, int]]:
+    """In-state of every block reachable from ``cfg.entry``.
+
+    A key missing from a state reads as its ``entry`` value.
+    ``transfer(block, state)`` returns a new out-state, which
+    ``edge(block, label, out)`` may refine per edge.  States join per
+    key: equal values stay, others become ``maybe``.
+    """
+    in_states: Dict[int, Dict[str, int]] = {cfg.entry.id: entry}
+    for _round in range(len(cfg.blocks) * 4 + 8):
+        changed = False
+        for block in cfg.blocks:
+            if block.id not in in_states:
+                continue
+            out = transfer(block, in_states[block.id])
+            for succ, label in block.succs:
+                es = out if edge is None else edge(block, label, out)
+                cur = in_states.get(succ.id)
+                if cur is None:
+                    in_states[succ.id] = dict(es)
+                    changed = True
+                    continue
+                merged = {}
+                for k, v in entry.items():
+                    a, b = cur.get(k, v), es.get(k, v)
+                    merged[k] = a if a == b else maybe
+                if merged != cur:
+                    in_states[succ.id] = merged
+                    changed = True
+        if not changed:
+            break
+    return in_states
 
 
 def function_defs(tree: ast.Module):

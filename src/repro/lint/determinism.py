@@ -8,8 +8,8 @@ iteration order that feeds the simulator depends on hashing or object
 identity.  D001–D004 enforce each leg statically within one file.
 
 D005/D006 close the wrapper loophole with the propagated summaries:
-D002 cannot see a sim component calling a ``bench/`` helper that reads
-``time.perf_counter`` (the helper's file is allowlisted), and D001
+D002 cannot see a sim component calling a ``campaign/`` helper that
+reads ``time.perf_counter`` (the helper's file is allowlisted), and D001
 cannot see a call into a wrapper that draws raw RNG one file away.
 Both rules fire exactly at the boundary-crossing call site — the
 callee's own callers are not re-flagged, so one leak yields one

@@ -132,7 +132,6 @@ class LintConfig:
     rng_module: str = "src/repro/sim/rng.py"
     #: subtrees that legitimately live in wall-clock time
     wallclock_allow: Tuple[str, ...] = (
-        "src/repro/bench/",
         "src/repro/campaign/",
         "src/repro/check/oracle.py",
         "src/repro/cli.py",

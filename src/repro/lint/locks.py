@@ -35,7 +35,7 @@ import ast
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.astutil import expr_key, stmt_header_exprs, walk_shallow
-from repro.lint.cfg import CFG, Block, build_cfg, function_defs
+from repro.lint.cfg import Block, build_cfg, forward_dataflow, function_defs
 from repro.lint.engine import Finding, ProgramContext, program_rule
 
 # lattice: FREE < HELD, MAYBE = join(FREE, HELD)
@@ -77,31 +77,18 @@ def _release_exit_state(fn: ast.AST, keys: List[str]) -> Dict[str, int]:
     release-only helper as releasing always / on some paths / never."""
     cfg = build_cfg(fn)
     entry = {k: HELD for k in keys}
-    in_states: Dict[int, Dict[str, int]] = {cfg.entry.id: entry}
-    for _round in range(len(cfg.blocks) * 4 + 8):
-        changed = False
-        for block in cfg.blocks:
-            if block.id not in in_states:
-                continue
-            state = dict(in_states[block.id])
-            for stmt in block.stmts:
-                for header in stmt_header_exprs(stmt):
-                    for node in walk_shallow(header):
-                        rel = _release_call(node)
-                        if rel and rel[0] in state:
-                            state[rel[0]] = FREE
-            for succ, _label in block.succs:
-                cur = in_states.get(succ.id)
-                if cur is None:
-                    in_states[succ.id] = dict(state)
-                    changed = True
-                else:
-                    merged = {k: _join(cur[k], state[k]) for k in keys}
-                    if merged != cur:
-                        in_states[succ.id] = merged
-                        changed = True
-        if not changed:
-            break
+
+    def transfer(block, state):
+        state = dict(state)
+        for stmt in block.stmts:
+            for header in stmt_header_exprs(stmt):
+                for node in walk_shallow(header):
+                    rel = _release_call(node)
+                    if rel and rel[0] in state:
+                        state[rel[0]] = FREE
+        return state
+
+    in_states = forward_dataflow(cfg, entry, MAYBE, transfer)
     return in_states.get(cfg.exit.id, dict(entry))
 
 
@@ -260,7 +247,7 @@ class _FunctionLocks:
     def __init__(self, fn: ast.AST, env: Optional[_CallEnv] = None):
         self.fn = fn
         self.env = env
-        self.cfg: CFG = build_cfg(fn)
+        self.cfg = build_cfg(fn)
         #: lock key -> first acquire site (for reporting): a direct
         #: try_acquire call, or the call into an acquire helper
         self.acquire_sites: Dict[str, ast.Call] = {}
@@ -405,31 +392,13 @@ class _FunctionLocks:
         if not self.acquire_sites:
             return []
         entry_state: Dict[str, int] = {k: FREE for k in self.acquire_sites}
-        in_states: Dict[int, Dict[str, int]] = {self.cfg.entry.id: entry_state}
         # two passes: fixpoint first (no reporting), then one reporting
         # sweep over the stable states so loops do not duplicate findings
-        for _round in range(len(self.cfg.blocks) * 4 + 8):
-            changed = False
-            for block in self.cfg.blocks:
-                if block.id not in in_states:
-                    continue
-                out = self._transfer(block, in_states[block.id], [], False)
-                for succ, label in block.succs:
-                    es = self._edge_state(block, label, out)
-                    cur = in_states.get(succ.id)
-                    if cur is None:
-                        in_states[succ.id] = dict(es)
-                        changed = True
-                    else:
-                        merged = {
-                            k: _join(cur.get(k, FREE), es.get(k, FREE))
-                            for k in self.acquire_sites
-                        }
-                        if merged != cur:
-                            in_states[succ.id] = merged
-                            changed = True
-            if not changed:
-                break
+        in_states = forward_dataflow(
+            self.cfg, entry_state, MAYBE,
+            lambda block, state: self._transfer(block, state, [], False),
+            self._edge_state,
+        )
 
         findings: List[Tuple[ast.AST, str, str, tuple]] = []
         seen: Set[Tuple[int, str]] = set()

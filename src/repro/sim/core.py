@@ -350,10 +350,10 @@ class Simulator:
         """Calendar entries scheduled plus events fired in place by
         :meth:`advance_to`, since construction.
 
-        Monotonic counter (cancellations included) — the denominator
-        ``repro bench`` uses for events/sec throughput.  An inlined
-        completion counts exactly like the calendar entry it replaces,
-        so the value does not depend on how many were inlined.
+        Monotonic counter (cancellations included), reported by
+        perfbench as ``sim.events``.  An inlined completion counts
+        exactly like the calendar entry it replaces, so the value does
+        not depend on how many were inlined.
         """
         return self._seq
 

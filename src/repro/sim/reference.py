@@ -2,17 +2,13 @@
 
 This is the first :class:`~repro.sim.core.Simulator`, kept verbatim
 (minus the monitor hook): one heap whose tombstones wait for their due
-time, with no compaction, live counter or in-place firing.  It has two
-consumers:
+time, with no compaction, live counter or in-place firing.  Its one
+consumer is the property tests, which drive random
+schedule/cancel/stop/step sequences through both engines and assert
+identical fire order and next due time.
 
-* the property tests, which drive random schedule/cancel/stop/step
-  sequences through both engines and assert identical fire order and
-  next due time;
-* ``repro bench``, which reports the live core's events/sec as a
-  speedup over this loop so the perf trajectory has a fixed origin.
-
-It is **not** part of the simulation: nothing under :mod:`repro` other
-than benches and tests may import it.  Bug fixes to the live core do not
+It is **not** part of the simulation: nothing other than the tests may
+import it.  Bug fixes to the live core do not
 need to be mirrored here — the point is that this file never changes.
 """
 

@@ -22,7 +22,7 @@ The catalogue mirrors the Waterclau benign/attack generator split
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import log as _log
 from typing import Callable, Dict, List, Tuple
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.sim.rng import RandomStreams
 from repro.sim.units import MS, SEC
-from repro.traffic.trace import Phase, Trace
+from repro.traffic.trace import MAX_FRAME_LEN, Phase, Trace
 
 #: arrival models a PhaseSpec may request
 ARRIVAL_KINDS = ("cbr", "poisson")
@@ -73,8 +73,17 @@ class PhaseSpec:
                 f"phase {self.name!r}: unknown arrival {self.arrival!r} "
                 f"(known: {', '.join(ARRIVAL_KINDS)})"
             )
+        if not 1 <= self.frame_len <= MAX_FRAME_LEN:
+            raise ValueError(f"phase {self.name!r}: frame_len "
+                             f"{self.frame_len} outside [1, {MAX_FRAME_LEN}]")
         if self.flows <= 0:
             raise ValueError(f"phase {self.name!r}: flows must be positive")
+        if self.flows > 2 ** 63:  # flow ids fill an int64 column
+            raise ValueError(f"phase {self.name!r}: flows {self.flows} "
+                             "above 2**63 (flow ids are int64)")
+        for field in ("burst_ns", "gap_ns"):
+            if getattr(self, field) < 0:
+                raise ValueError(f"phase {self.name!r}: negative {field}")
         if (self.burst_ns > 0) != (self.gap_ns > 0):
             raise ValueError(
                 f"phase {self.name!r}: burst_ns and gap_ns go together"
@@ -94,6 +103,11 @@ class PhaseSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "PhaseSpec":
+        known = {f.name for f in fields(cls)}
+        unknown = [key for key in d if key not in known]
+        if unknown:
+            raise ValueError(f"phase {d.get('name')!r}: unknown key(s) "
+                             f"{', '.join(map(repr, unknown))}")
         return cls(**d)
 
 

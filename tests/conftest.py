@@ -7,8 +7,6 @@ picked up by pytest as usual.
 
 from __future__ import annotations
 
-import sys
-
 import pytest
 
 from repro.config import SimConfig
@@ -20,26 +18,6 @@ from repro.nic.rxqueue import RxQueue
 from repro.nic.traffic import CbrProcess, PoissonProcess
 from repro.sim.rng import RandomStreams
 from repro.sim.units import US
-
-
-def pytest_runtest_setup(item):
-    """Skip ``no_settrace`` tests under a line tracer.
-
-    ``tools/coverage.py`` runs the suite with a ``sys.settrace`` hook,
-    which slows traced Python code several-fold — but *unevenly*: the
-    live core runs more Python lines per event than the frozen heap
-    baseline (live counters, the monitor hook), so wall-clock ratio
-    asserts (bench speedups) can flip under tracing while meaning
-    nothing.  Tests that
-    assert on timing mark themselves ``no_settrace``; a coverage run
-    skips them, a plain pytest run executes them.  If a marked test
-    fails, re-check under plain pytest before chasing the failure.
-    """
-    if item.get_closest_marker("no_settrace") is None:
-        return
-    if sys.gettrace() is not None:
-        pytest.skip("timing-sensitive assert: settrace coverage skews "
-                    "wall-clock ratios (run under plain pytest)")
 
 
 @pytest.fixture

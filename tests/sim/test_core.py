@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import SimulationError, Simulator
+from repro.sim.core import _COMPACT_MIN, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -229,23 +229,41 @@ def _stored_entries(sim) -> int:
     return len(sim._heap)
 
 
-def test_cancel_heavy_store_stays_bounded():
+def _watchdog_churn(width: int):
+    """The backup-timeout churn: every 5 us tick cancels the previous
+    tick's ``width`` far-future watchdogs and re-arms as many, for 1,000
+    ticks.  Asserts the tombstone bound after every cancel; returns the
+    drained simulator and the ticks run."""
     sim = Simulator()
-    state = {"n": 0}
+    state = {"n": 0, "watchdogs": []}
 
     def tick():
         n = state["n"] = state["n"] + 1
-        # far-future watchdog, immediately obsolete: cancelled next tick
-        wd = sim.call_after(10_000_000_000, lambda: None)
-        sim.call_after(1_000, wd.cancel)
-        if n < 5_000:
-            sim.call_after(1_000, tick)
+        for handle in state["watchdogs"]:
+            handle.cancel()
+            assert sim._dead <= max(_COMPACT_MIN, sim._live), (
+                f"{width} per tick: {sim._dead} tombstones beside "
+                f"{sim._live} live entries")
+        if n < 1_000:
+            state["watchdogs"] = [
+                sim.call_after(10_000_000_000, lambda: None)
+                for _ in range(width)
+            ]
+            sim.call_after(5_000, tick)
 
-    sim.call_after(1_000, tick)
+    sim.call_after(5_000, tick)
     sim.run()
-    # without compaction the heap would hold all 5000 tombstones
-    assert _stored_entries(sim) < 200
-    assert sim._dead <= sim._live + 64 + 1
+    return sim, state["n"]
+
+
+def test_cancel_heavy_store_stays_bounded():
+    # _watchdog_churn checks the bound after every cancel: once run()
+    # has drained the heap, every tombstone is gone, compacted or not
+    for width in (1, 16, 256):  # watchdogs per tick
+        sim, ticks = _watchdog_churn(width)
+        assert ticks == 1_000
+        assert _stored_entries(sim) < 200
+        assert sim._dead <= sim._live + 64 + 1
 
 
 def test_pending_counts_live_entries_only():

@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.units import MS, SEC
 from repro.traffic import (
+    MAX_FRAME_LEN,
     SHIPPED_TRACES,
     PhaseSpec,
     TraceSpec,
@@ -65,6 +66,20 @@ def test_phase_spec_validation():
         PhaseSpec("p", 100, 1000, flows=0)
     with pytest.raises(ValueError, match="go together"):
         PhaseSpec("p", 100, 1000, burst_ns=10)
+    # a flow space past int64 would overflow the flow column mid-draw
+    with pytest.raises(ValueError, match=r"'p': flows .* above 2\*\*63"):
+        PhaseSpec("p", 100, 1000, flows=2**63 + 1)
+    assert PhaseSpec("p", 100, 1000, flows=2**63).flows == 2**63
+    # both negative once read as a continuous phase
+    with pytest.raises(ValueError, match="'p': negative burst_ns"):
+        PhaseSpec("p", 100, 1000, burst_ns=-1, gap_ns=-1)
+    with pytest.raises(ValueError, match="'p': negative gap_ns"):
+        PhaseSpec("p", 100, 1000, gap_ns=-1)
+    for frame_len in (0, -64, MAX_FRAME_LEN + 1):
+        with pytest.raises(ValueError, match="'p': frame_len .* outside"):
+            PhaseSpec("p", 100, 1000, frame_len=frame_len)
+    assert PhaseSpec("p", 100, 1000, frame_len=MAX_FRAME_LEN).frame_len \
+        == MAX_FRAME_LEN
     with pytest.raises(ValueError, match="needs a name"):
         TraceSpec("", (PhaseSpec("p", 100, 1000),))
     with pytest.raises(ValueError, match="no phases"):
@@ -89,6 +104,13 @@ def test_phase_spec_from_json_rejects_a_float_flow_space():
     d = json.loads('{"name": "p", "duration_ns": 1000, "rate_pps": 1000, '
                    '"flows": 256.0}')
     with pytest.raises(ValueError, match="flows 256.0 is not an integer"):
+        PhaseSpec.from_dict(d)
+
+
+def test_phase_spec_from_json_rejects_an_unknown_key():
+    d = json.loads('{"name": "p", "duration_ns": 1000, "rate_pps": 1000, '
+                   '"flow": 4}')
+    with pytest.raises(ValueError, match=r"'p': unknown key\(s\) 'flow'"):
         PhaseSpec.from_dict(d)
 
 
