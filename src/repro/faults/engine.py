@@ -82,10 +82,6 @@ class FaultEngine:
         """Expose a traffic process to microburst/pause injectors."""
         self.processes.append(process)
 
-    def last_episode_end_ns(self) -> int:
-        """When the final fault window closes (recovery clock zero)."""
-        return self.plan.last_fault_end_ns()
-
     def snapshot_state(self) -> dict:
         """Checkpoint fingerprint: per-kind counters + active windows."""
         kinds = sorted(self.plan.kinds())

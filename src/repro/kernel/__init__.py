@@ -12,8 +12,8 @@ Subsystems (mirroring DESIGN.md §2):
   preemption, sleeper fairness.
 * :mod:`repro.kernel.hrtimer` — high-resolution per-core timer queues
   (the paper's Figure 1 wakeup path).
-* :mod:`repro.kernel.timerwheel` — a hierarchical timing wheel, used by
-  the NIC interrupt-mitigation model.
+* :mod:`repro.kernel.timerwheel` — jiffy-resolution timers (one map
+  from expiry jiffy to callbacks), used by the OS-noise model.
 * :mod:`repro.kernel.cpuidle` — C-state exit latency model (menu-governor
   style: deeper states for longer idles).
 * :mod:`repro.kernel.sleep` — the two sleep services under study:

@@ -1,191 +1,71 @@
-"""A hierarchical timing wheel (the kernel's low-resolution timer store).
+"""The kernel's low-resolution (jiffy) timers.
 
 The paper's §3.1 describes the Linux "timer wheel" that sleep requests
-are posted to.  Linux's modern wheel has 9 levels of 64 slots each, with
-granularity multiplying by 8 per level; timers far in the future land in
-coarse levels and *cascade* into finer ones as time advances — which is
-why low-resolution timers have bounded but nonzero slack.
-
-:class:`TimerWheel` is the pure data structure (heavily unit- and
-property-tested); :class:`DrivenTimerWheel` couples it to the simulator
-clock at jiffy granularity and backs the kernel-daemon noise timers
-(:mod:`repro.kernel.noise`) — kworker wakeups really are jiffy-resolution
-wheel timers.  The high-resolution path (:mod:`repro.kernel.hrtimer`)
+are posted to: timers expire on jiffy boundaries, so low-resolution
+timers have bounded but nonzero slack.  Linux stores them in a 9-level
+wheel whose coarse levels cascade into finer ones.  The model keeps
+only what its users see, the jiffy rounding and the firing order: one
+map from expiry jiffy to callbacks.  Its users, the kernel-daemon
+noise timers (:mod:`repro.kernel.noise`), are armed a few jiffies out,
+inside the span of Linux's first level, where the wheel is exactly
+such a map.  The high-resolution path (:mod:`repro.kernel.hrtimer`)
 bypasses the wheel, exactly like ``hrtimer`` does in Linux.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
-
-LEVELS = 9
-SLOTS_PER_LEVEL = 64
-LEVEL_SHIFT = 6  # log2(SLOTS_PER_LEVEL)
-#: granularity multiplier between levels (Linux uses 8 = 2**3)
-LEVEL_GRANULARITY_SHIFT = 3
-
-
-class WheelTimer:
-    """A timer registered with :class:`TimerWheel`."""
-
-    __slots__ = ("expiry_tick", "callback", "cancelled", "fired")
-
-    def __init__(self, expiry_tick: int, callback: Callable[[], None]):
-        self.expiry_tick = expiry_tick
-        self.callback = callback
-        self.cancelled = False
-        self.fired = False
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-
-class TimerWheel:
-    """Hierarchical timing wheel over an abstract integer tick clock.
-
-    ``tick_ns`` sets the base granularity (Linux: one jiffy).  The caller
-    drives it with :meth:`advance_to`, which fires every timer whose slot
-    has come due, cascading coarse-level timers downward as needed.
-    """
-
-    def __init__(self, tick_ns: int = 1_000_000, start_ns: int = 0):
-        if tick_ns <= 0:
-            raise ValueError("tick_ns must be positive")
-        self.tick_ns = tick_ns
-        self.current_tick = start_ns // tick_ns
-        self._slots: List[List[List[WheelTimer]]] = [
-            [[] for _ in range(SLOTS_PER_LEVEL)] for _ in range(LEVELS)
-        ]
-        self.pending = 0
-        self.fired_total = 0
-
-    # ------------------------------------------------------------------ #
-
-    def _level_shift(self, level: int) -> int:
-        return level * LEVEL_GRANULARITY_SHIFT
-
-    def _level_for(self, delta_ticks: int) -> int:
-        """Level whose granularity covers a delay of ``delta_ticks``."""
-        level = 0
-        span = SLOTS_PER_LEVEL
-        while level < LEVELS - 1 and delta_ticks >= span:
-            level += 1
-            span <<= LEVEL_GRANULARITY_SHIFT
-        return level
-
-    def _slot_for(self, level: int, expiry_tick: int) -> int:
-        return (expiry_tick >> self._level_shift(level)) & (SLOTS_PER_LEVEL - 1)
-
-    def _insert(self, timer: WheelTimer) -> None:
-        delta = max(0, timer.expiry_tick - self.current_tick)
-        level = self._level_for(delta)
-        slot = self._slot_for(level, max(timer.expiry_tick, self.current_tick))
-        self._slots[level][slot].append(timer)
-
-    # ------------------------------------------------------------------ #
-
-    def add(self, delay_ns: int, callback: Callable[[], None]) -> WheelTimer:
-        """Register ``callback`` to fire ``delay_ns`` from the wheel's now.
-
-        Like the kernel wheel, granularity is the base tick: sub-tick
-        delays round **up** to the next tick (a timer never fires early).
-        """
-        if delay_ns < 0:
-            raise ValueError("negative delay")
-        expiry_tick = self.current_tick + max(
-            1, (delay_ns + self.tick_ns - 1) // self.tick_ns
-        )
-        timer = WheelTimer(expiry_tick, callback)
-        self._insert(timer)
-        self.pending += 1
-        return timer
-
-    def advance_to(self, now_ns: int) -> int:
-        """Advance wheel time, firing due timers.  Returns #fired."""
-        target_tick = now_ns // self.tick_ns
-        fired = 0
-        while self.current_tick < target_tick:
-            self.current_tick += 1
-            fired += self._expire_tick()
-        return fired
-
-    def _expire_tick(self) -> int:
-        fired = 0
-        tick = self.current_tick
-        for level in range(LEVELS):
-            shift = self._level_shift(level)
-            # a level's slot boundary is crossed when the lower bits wrap
-            if level > 0 and tick & ((1 << shift) - 1) != 0:
-                break
-            slot = (tick >> shift) & (SLOTS_PER_LEVEL - 1)
-            bucket = self._slots[level][slot]
-            if not bucket:
-                continue
-            self._slots[level][slot] = []
-            for timer in bucket:
-                if timer.cancelled:
-                    self.pending -= 1
-                    continue
-                if timer.expiry_tick <= tick:
-                    timer.fired = True
-                    fired += 1
-                    self.fired_total += 1
-                    self.pending -= 1
-                    timer.callback()
-                else:
-                    # cascade into a finer level
-                    self._insert(timer)
-        return fired
-
-    def tick_of(self, now_ns: int) -> int:
-        return now_ns // self.tick_ns
-
-    def next_pending_expiry_ns(self) -> Optional[int]:
-        """Earliest live expiry, in ns (linear scan; diagnostics only)."""
-        best: Optional[int] = None
-        for level in self._slots:
-            for bucket in level:
-                for timer in bucket:
-                    if not timer.cancelled:
-                        if best is None or timer.expiry_tick < best:
-                            best = timer.expiry_tick
-        return None if best is None else best * self.tick_ns
+from typing import Callable, Dict, List
 
 
 class DrivenTimerWheel:
-    """A :class:`TimerWheel` advanced by the simulator's clock.
+    """Jiffy-granularity timers advanced by the simulator's clock.
 
-    Ticks are only scheduled while timers are pending, so an idle wheel
-    costs nothing.  Callbacks fire with jiffy granularity — the slack
-    low-resolution kernel timers genuinely have.
+    A delay rounds **up** to the next tick (a timer never fires early,
+    and a zero delay fires on the next tick); timers due on the same
+    tick fire in the order they were added.  A tick event is scheduled
+    for every jiffy while any timer is pending, and none while the
+    wheel is idle.
     """
 
     def __init__(self, sim: "Simulator", tick_ns: int = 1_000_000):  # noqa: F821
+        if tick_ns <= 0:
+            raise ValueError("tick_ns must be positive")
         self.sim = sim
-        self.wheel = TimerWheel(tick_ns=tick_ns, start_ns=sim.now)
+        self.tick_ns = tick_ns
+        self.current_tick = sim.now // tick_ns
+        #: expiry tick -> callbacks, in the order they were added
+        self._due: Dict[int, List[Callable[[], None]]] = {}
+        self.pending = 0
         self._tick_armed = False
 
-    def add(self, delay_ns: int, callback: Callable[[], None]) -> WheelTimer:
+    def add(self, delay_ns: int, callback: Callable[[], None]) -> None:
         """Arm a low-resolution timer ``delay_ns`` from now."""
+        if delay_ns < 0:
+            raise ValueError("negative delay")
         # keep the wheel's notion of now current before inserting
-        self.wheel.advance_to(self.sim.now)
-        timer = self.wheel.add(delay_ns, callback)
+        self._advance()
+        expiry = self.current_tick + max(1, -(-delay_ns // self.tick_ns))
+        self._due.setdefault(expiry, []).append(callback)
+        self.pending += 1
         self._arm_tick()
-        return timer
+
+    def _advance(self) -> None:
+        """Fire every timer due on a tick up to the simulator's now."""
+        target = self.sim.now // self.tick_ns
+        while self.current_tick < target:
+            self.current_tick += 1
+            for callback in self._due.pop(self.current_tick, ()):
+                self.pending -= 1
+                callback()
 
     def _arm_tick(self) -> None:
-        if self._tick_armed or self.wheel.pending == 0:
+        if self._tick_armed or self.pending == 0:
             return
-        tick_ns = self.wheel.tick_ns
-        next_tick_time = (self.wheel.current_tick + 1) * tick_ns
+        next_tick_time = (self.current_tick + 1) * self.tick_ns
         self._tick_armed = True
         self.sim.call_at(max(next_tick_time, self.sim.now), self._on_tick)
 
     def _on_tick(self) -> None:
         self._tick_armed = False
-        self.wheel.advance_to(self.sim.now)
+        self._advance()
         self._arm_tick()
-
-    @property
-    def pending(self) -> int:
-        return self.wheel.pending

@@ -13,8 +13,6 @@ from typing import Callable, List, Optional
 
 from repro import config
 from repro.nic.flows import FlowSet
-from repro.nic.packet import PacketHeader
-from repro.nic.rss import RssSteering
 from repro.nic.rxqueue import RxQueue
 from repro.nic.traffic import ArrivalProcess
 from repro.sim.core import Handle, Simulator
@@ -30,8 +28,6 @@ class NicPort:
         flows: Optional[FlowSet] = None,
         ring_size: int = config.DEFAULT_RX_RING,
         sample_every: int = config.LATENCY_SAMPLE_EVERY,
-        node: int = 0,
-        rss: Optional["RssSteering"] = None,
         queue_nodes: Optional[List[int]] = None,
     ):
         if not processes:
@@ -43,12 +39,6 @@ class NicPort:
             )
         self.sim = sim
         self.flows = flows or FlowSet()
-        #: NUMA node the port's PCIe lanes (and default ring memory)
-        #: attach to; per-queue placement may override via queue_nodes
-        self.node = node
-        #: optional RSS indirection (``repro.nic.rss``); queue_for()
-        #: resolves a header to one of this port's queues through it
-        self.rss = rss
         self.queues: List[RxQueue] = [
             RxQueue(
                 sim,
@@ -57,7 +47,7 @@ class NicPort:
                 ring_size=ring_size,
                 sample_every=sample_every,
                 index=i,
-                node=node if queue_nodes is None else queue_nodes[i],
+                node=0 if queue_nodes is None else queue_nodes[i],
             )
             for i, proc in enumerate(processes)
         ]
@@ -70,19 +60,6 @@ class NicPort:
         ports = getattr(sim, "nic_ports", None)
         if ports is not None:
             ports.append(self)
-
-    # ------------------------------------------------------------------ #
-
-    def queue_for(self, header: PacketHeader) -> RxQueue:
-        """The queue this port's RSS engine steers ``header`` to.
-
-        Requires an :class:`~repro.nic.rss.RssSteering` instance — ports
-        built without one model the legacy "independent process per
-        queue" approximation and have no steering function.
-        """
-        if self.rss is None:
-            raise ValueError("port has no RSS steering configured")
-        return self.queues[self.rss.queue_for(header)]
 
     # ------------------------------------------------------------------ #
 
@@ -116,14 +93,6 @@ class NicPort:
             self._irq_batch_when = when
             self._irq_batch = self.sim.call_at(when, self._drain_irqs)
         return True
-
-    def irq_disarm(self, queue_index: int) -> None:
-        self._irq_pending.pop(queue_index, None)
-        if not self._irq_pending and self._irq_batch is not None:
-            # a stale later-due drain for the remaining queues is left in
-            # place only while some queue is armed; empty means cancel
-            self._irq_batch.cancel()
-            self._irq_batch = None
 
     def _drain_irqs(self) -> None:
         now = self.sim.now

@@ -18,7 +18,7 @@ position (the tests pin the two paths against each other).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.nic.packet import PacketHeader
 
@@ -95,12 +95,3 @@ class RssSteering:
             data += (header.src_port.to_bytes(2, "big")
                      + header.dst_port.to_bytes(2, "big"))
         return self.table[self.hash_input(data) % len(self.table)]
-
-    def retarget(self, entries: Sequence[int]) -> None:
-        """Rewrite the redirection table (the ethtool flow-steering the
-        paper's XDP section leans on)."""
-        if any(not 0 <= q < self.num_queues for q in entries):
-            raise ValueError("entry outside queue range")
-        if len(entries) != len(self.table):
-            raise ValueError("table size mismatch")
-        self.table = list(entries)

@@ -116,23 +116,17 @@ class ArrivalProcess:
 
 
 class CbrProcess(ArrivalProcess):
-    """Constant-rate arrivals: packet k arrives at ``start + ceil(k/rate)``."""
+    """Constant-rate arrivals: packet k arrives at ``ceil(k/rate)``."""
 
-    def __init__(self, rate_pps: int, start: int = 0, end: Optional[int] = None):
+    def __init__(self, rate_pps: int):
         if rate_pps < 0:
             raise ValueError("negative rate")
         self.rate_pps = rate_pps
-        self.start = start
-        self.end = end
-        self.last_t = start
+        self.last_t = 0
         self.total = 0
 
     def _count_at(self, t: int) -> int:
-        if self.rate_pps == 0 or t <= self.start:
-            return 0
-        if self.end is not None:
-            t = min(t, self.end)
-        return (t - self.start) * self.rate_pps // SEC
+        return t * self.rate_pps // SEC
 
     def advance(self, t1: int) -> int:
         if t1 < self.last_t:
@@ -146,14 +140,9 @@ class CbrProcess(ArrivalProcess):
         if self.rate_pps == 0:
             return None
         k = self._count_at(t) + 1
-        when = self.start + (k * SEC + self.rate_pps - 1) // self.rate_pps
-        if self.end is not None and when > self.end:
-            return None
-        return when
+        return (k * SEC + self.rate_pps - 1) // self.rate_pps
 
     def rate_at(self, t: int) -> float:
-        if t < self.start or (self.end is not None and t > self.end):
-            return 0.0
         return float(self.rate_pps)
 
     def time_for_count(self, t: int, k: int) -> Optional[int]:
@@ -163,10 +152,7 @@ class CbrProcess(ArrivalProcess):
         if self.rate_pps == 0:
             return None
         target = self._count_at(t) + k
-        when = self.start + (target * SEC + self.rate_pps - 1) // self.rate_pps
-        if self.end is not None and when > self.end:
-            return None
-        return when
+        return (target * SEC + self.rate_pps - 1) // self.rate_pps
 
 
 class PoissonProcess(ArrivalProcess):
@@ -223,7 +209,8 @@ class RampProfile(ArrivalProcess):
 
     Exact integer fluid accumulator: the fractional packet position is
     carried in units of pps·ns so segment boundaries never drop or
-    duplicate arrivals.
+    duplicate arrivals.  The last segment lasts forever, unless a
+    subclass draws more as the run reaches them (:meth:`_extend_to`).
     """
 
     def __init__(self, segments: Sequence[Tuple[int, int]]):
@@ -238,6 +225,17 @@ class RampProfile(ArrivalProcess):
         self._acc = 0  # pps·ns accumulated
 
     # -- helpers --------------------------------------------------------- #
+
+    def _extend_to(self, t: int) -> None:
+        """Commit segments until the last one starts after ``t``; a
+        fixed profile has nothing to commit."""
+
+    def _next_start(self, t: int) -> Optional[int]:
+        """First segment start strictly after ``t`` (None: none left)."""
+        for start, _rate in self.segments:
+            if start > t:
+                return start
+        return None
 
     def _segment_rate(self, t: int) -> int:
         rate = 0
@@ -260,6 +258,7 @@ class RampProfile(ArrivalProcess):
     def advance(self, t1: int) -> int:
         if t1 < self.last_t:
             raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
+        self._extend_to(t1)
         for a, b, rate in self._iter_pieces(self.last_t, t1):
             self._acc += (b - a) * rate
         new_total = self._acc // SEC
@@ -271,39 +270,33 @@ class RampProfile(ArrivalProcess):
     def next_arrival_after(self, t: int) -> Optional[int]:
         if t < self.last_t:
             raise ValueError("next_arrival_after before sync point")
+        self._extend_to(t)
         # accumulate virtually from last_t to t, then walk forward
         acc = self._acc
         for a, b, rate in self._iter_pieces(self.last_t, t):
             acc += (b - a) * rate
-        needed = (self.total_at_acc(acc) + 1) * SEC
+        needed = (acc // SEC + 1) * SEC
         cursor = t
         # walk segments until the accumulator can reach `needed`
-        remaining_starts = [s for s, _ in self.segments if s > cursor]
-        while True:
+        for _ in range(100_000):  # guard against pathological parameters
             rate = self._segment_rate(cursor)
-            seg_end = remaining_starts[0] if remaining_starts else None
+            seg_end = self._next_start(cursor)
             if rate > 0:
-                dt = (needed - acc + rate - 1) // rate
-                when = cursor + dt
+                when = cursor + (needed - acc + rate - 1) // rate
                 if seg_end is None or when <= seg_end:
                     return when
                 acc += (seg_end - cursor) * rate
             elif seg_end is None:
                 return None
-            if seg_end is None:
-                return None
             cursor = seg_end
-            remaining_starts.pop(0)
-
-    @staticmethod
-    def total_at_acc(acc: int) -> int:
-        return acc // SEC
+        raise RuntimeError("no arrival found within the search horizon")
 
     def rate_at(self, t: int) -> float:
+        self._extend_to(t)
         return float(self._segment_rate(t))
 
 
-class OnOffProcess(ArrivalProcess):
+class OnOffProcess(RampProfile):
     """Bursty traffic: exponential ON/OFF phases, CBR while ON.
 
     The classic interrupted-Poisson-style burst model: ON periods of
@@ -311,6 +304,9 @@ class OnOffProcess(ArrivalProcess):
     mean ``mean_off_ns``.  Used by the burst-reactivity extension
     (Metronome vs XDP on cold bursts) and for stressing the adaptive
     controller with load swings faster than the paper's 2 s ramp steps.
+
+    A :class:`RampProfile` whose segments are the phases, drawn as the
+    run reaches them and dropped once consumed.
     """
 
     def __init__(
@@ -326,18 +322,11 @@ class OnOffProcess(ArrivalProcess):
             raise ValueError("negative rate")
         if mean_on_ns <= 0 or mean_off_ns <= 0:
             raise ValueError("phase means must be positive")
+        super().__init__([(start, burst_rate_pps if start_on else 0)])
         self.burst_rate_pps = burst_rate_pps
         self.mean_on_ns = mean_on_ns
         self.mean_off_ns = mean_off_ns
         self._rng = rng
-        self.last_t = start
-        self.total = 0
-        self._acc = 0
-        # committed phase timeline: list of (start, rate); extended lazily
-        self._segments: List[Tuple[int, int]] = [
-            (start, burst_rate_pps if start_on else 0)
-        ]
-        self._horizon = start  # time at which the next phase begins
 
     def mean_rate_pps(self) -> float:
         """Long-run average rate (duty cycle × burst rate)."""
@@ -345,81 +334,30 @@ class OnOffProcess(ArrivalProcess):
         return self.burst_rate_pps * duty
 
     def _extend_to(self, t: int) -> None:
-        """Commit phase boundaries until the timeline covers ``t``."""
-        while self._horizon <= t:
-            _last_start, last_rate = self._segments[-1]
-            if last_rate:
+        segments = self.segments
+        while segments[-1][0] <= t:
+            start, rate = segments[-1]
+            if rate:
                 gap = self._rng.expovariate(1.0 / self.mean_on_ns)
-                next_rate = 0
             else:
                 gap = self._rng.expovariate(1.0 / self.mean_off_ns)
-                next_rate = self.burst_rate_pps
-            self._horizon = max(self._horizon + max(1, int(gap)),
-                                self._segments[-1][0] + 1)
-            self._segments.append((self._horizon, next_rate))
+            segments.append((start + max(1, int(gap)),
+                             0 if rate else self.burst_rate_pps))
 
-    def _rate_at(self, t: int) -> int:
-        rate = 0
-        for seg_start, seg_rate in self._segments:
-            if t >= seg_start:
-                rate = seg_rate
-            else:
-                break
-        return rate
+    def _next_start(self, t: int) -> int:
+        # at the newest phase, draw until one starts more than 1 ns past
+        # it (the draws each query makes are pinned in the tests)
+        while self.segments[-1][0] <= t:
+            self._extend_to(self.segments[-1][0] + 1)
+        return super()._next_start(t)
 
     def advance(self, t1: int) -> int:
-        if t1 < self.last_t:
-            raise ValueError(f"advance moving backwards: {t1} < {self.last_t}")
-        self._extend_to(t1)
-        boundaries = [s for s, _r in self._segments
-                      if self.last_t < s < t1]
-        edges = [self.last_t] + boundaries + [t1]
-        for a, b in zip(edges, edges[1:]):
-            self._acc += (b - a) * self._rate_at(a)
-        new_total = self._acc // SEC
-        n = new_total - self.total
-        self.total = new_total
-        self.last_t = t1
+        n = super().advance(t1)
         # trim consumed segments (keep the one covering last_t)
-        while len(self._segments) > 1 and self._segments[1][0] <= self.last_t:
-            self._segments.pop(0)
+        segments = self.segments
+        while len(segments) > 1 and segments[1][0] <= self.last_t:
+            segments.pop(0)
         return n
-
-    def _next_boundary(self, cursor: int) -> int:
-        """First committed phase boundary strictly after ``cursor``."""
-        while True:
-            for seg_start, _rate in self._segments:
-                if seg_start > cursor:
-                    return seg_start
-            self._extend_to(self._horizon + 1)
-
-    def next_arrival_after(self, t: int) -> Optional[int]:
-        if t < self.last_t:
-            raise ValueError("next_arrival_after before sync point")
-        self._extend_to(t)
-        # virtual accumulator value at time t
-        acc = self._acc
-        cursor = self.last_t
-        while cursor < t:
-            end = min(t, self._next_boundary(cursor))
-            acc += (end - cursor) * self._rate_at(cursor)
-            cursor = end
-        needed = (acc // SEC + 1) * SEC
-        # walk forward until the accumulator reaches the next packet
-        for _ in range(100_000):  # guard against pathological parameters
-            rate = self._rate_at(cursor)
-            boundary = self._next_boundary(cursor)
-            if rate > 0:
-                dt = (needed - acc + rate - 1) // rate
-                if cursor + dt <= boundary:
-                    return cursor + dt
-                acc += (boundary - cursor) * rate
-            cursor = boundary
-        raise RuntimeError("no arrival found within the search horizon")
-
-    def rate_at(self, t: int) -> float:
-        self._extend_to(t)
-        return float(self._rate_at(t))
 
 
 class FaultableProcess(ArrivalProcess):

@@ -53,8 +53,8 @@ class HeapSimulator:
 
     Cancelled entries stay in the heap until their time comes up, so a
     cancel-heavy workload grows the heap without bound — the exact
-    behaviour the live core's compaction removes, and the baseline
-    the churn microbenchmark measures against.
+    behaviour the live core's compaction removes.  Property tests pin
+    the live core's firing order against it.
     """
 
     def __init__(self) -> None:

@@ -85,12 +85,9 @@ class MachineState:
                         "version": self.version,
                         "components": self.components})
 
-    def component_digests(self) -> Dict[str, str]:
-        return {name: _digest(value)[:16]
-                for name, value in sorted(self.components.items())}
-
     def size_bytes(self) -> int:
-        """Serialized size (the checkpoint-overhead bench tracks this)."""
+        """Serialized size (``repro chaos --checkpoint-before-fault``
+        reports it)."""
         return len(_canonical(self.to_dict()).encode())
 
     def diff(self, other: "MachineState") -> List[str]:

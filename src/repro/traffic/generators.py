@@ -22,7 +22,7 @@ The catalogue mirrors the Waterclau benign/attack generator split
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from math import log as _log
 from typing import Callable, Dict, List, Tuple
 
@@ -103,12 +103,7 @@ class PhaseSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "PhaseSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = [key for key in d if key not in known]
-        if unknown:
-            raise ValueError(f"phase {d.get('name')!r}: unknown key(s) "
-                             f"{', '.join(map(repr, unknown))}")
-        return cls(**d)
+        return cls(**_spec_keys(cls, d, "phase"))
 
 
 @dataclass(frozen=True)
@@ -139,11 +134,33 @@ class TraceSpec:
 
     @classmethod
     def from_dict(cls, d: Dict) -> "TraceSpec":
+        phases = _spec_keys(cls, d, "trace spec").get("phases", ())
+        if not isinstance(phases, (list, tuple)):
+            raise ValueError(f"trace spec {d['name']!r}: phases {phases!r} "
+                             "is not a list")
         return cls(
             name=d["name"],
             description=d.get("description", ""),
-            phases=tuple(PhaseSpec.from_dict(p) for p in d.get("phases", ())),
+            phases=tuple(PhaseSpec.from_dict(p) for p in phases),
         )
+
+
+def _spec_keys(cls, d, what: str) -> Dict:
+    """``d``, checked against ``cls``'s fields: a non-mapping, an unknown
+    key or a missing required one is a ``ValueError`` that names it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} {d!r} is not a mapping")
+    label = f"{what} {d['name']!r}" if "name" in d else what
+    known = fields(cls)
+    for kind, keys in (
+        ("unknown", [k for k in d if k not in {f.name for f in known}]),
+        ("missing", [f.name for f in known
+                     if f.default is MISSING and f.name not in d]),
+    ):
+        if keys:
+            raise ValueError(f"{label}: {kind} key(s) "
+                             f"{', '.join(map(repr, keys))}")
+    return d
 
 
 def _gen_window(rng, spec: PhaseSpec, w_start: int, w_end: int,

@@ -1,5 +1,8 @@
 """Unit tests for the OS-noise generator (kernel-daemon interference)."""
 
+import hashlib
+import json
+
 from repro import config
 from repro.sim.units import MS
 
@@ -38,6 +41,31 @@ def test_bursts_fire_at_jiffy_granularity():
     m.run(until=40 * MS)
     assert len(times) > 5
     assert all(t % 1_000_000 == 0 for t in times)
+
+
+#: sha256 of the ``(now, core)`` burst timeline, stolen ns and calendar
+#: entries of a 4-core, 200 ms noisy machine at seed 1234
+BURST_TIMELINE_PIN = (
+    "ef5cc2857b7984fc5c9df4f7b20468571cc6c21074a896d9ea008a6faa3c0a4d",
+    6736074, 389)
+
+
+def test_burst_timeline_pinned():
+    """Every burst lands on the same jiffy and core, with the same draws
+    and calendar entries, whatever stores the kworker timers."""
+    m = make_machine(num_cores=4, os_noise=True, seed=1234)
+    timeline = []
+    orig = m.noise._burst
+
+    def recording_burst(core):
+        timeline.append((m.sim.now, core.index))
+        orig(core)
+
+    m.noise._burst = recording_burst
+    m.run(until=200 * MS)
+    digest = hashlib.sha256(json.dumps(timeline).encode()).hexdigest()
+    assert (digest, m.noise.stolen_ns, m.sim.events_scheduled) \
+        == BURST_TIMELINE_PIN
 
 
 def test_same_seed_is_deterministic():

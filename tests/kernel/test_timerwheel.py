@@ -1,130 +1,101 @@
-"""Unit and property tests for the hierarchical timing wheel."""
+"""Unit and property tests for the jiffy timer wheel."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernel.timerwheel import LEVELS, SLOTS_PER_LEVEL, TimerWheel
+from repro.kernel.timerwheel import DrivenTimerWheel
+from repro.sim.core import Simulator
+
+
+def make(tick_ns=1000):
+    sim = Simulator()
+    return sim, DrivenTimerWheel(sim, tick_ns=tick_ns)
 
 
 def test_basic_fire():
-    wheel = TimerWheel(tick_ns=1000)
+    sim, wheel = make()
     fired = []
-    wheel.add(5_000, lambda: fired.append("a"))
-    wheel.advance_to(4_000)
+    wheel.add(5_000, lambda: fired.append(sim.now))
+    sim.run(until=4_000)
     assert fired == []
-    wheel.advance_to(5_000)
-    assert fired == ["a"]
+    sim.run(until=5_000)
+    assert fired == [5_000]
 
 
 def test_never_fires_early():
-    wheel = TimerWheel(tick_ns=1000)
+    sim, wheel = make()
     fired = []
-    timer = wheel.add(2_500, lambda: fired.append(1))
-    wheel.advance_to(2_000)
+    wheel.add(2_500, lambda: fired.append(sim.now))
+    sim.run(until=2_999)
     assert fired == []          # 2.5 ticks rounds UP to tick 3
-    wheel.advance_to(3_000)
-    assert fired == [1]
-    assert timer.fired
+    sim.run()
+    assert fired == [3_000]
 
 
 def test_zero_delay_rounds_to_next_tick():
-    wheel = TimerWheel(tick_ns=1000)
+    sim, wheel = make()
     fired = []
-    wheel.add(0, lambda: fired.append(1))
-    wheel.advance_to(999)
+    wheel.add(0, lambda: fired.append(sim.now))
+    sim.run(until=999)
     assert fired == []
-    wheel.advance_to(1000)
-    assert fired == [1]
-
-
-def test_cancel():
-    wheel = TimerWheel(tick_ns=1000)
-    fired = []
-    t = wheel.add(3_000, lambda: fired.append(1))
-    t.cancel()
-    wheel.advance_to(10_000)
-    assert fired == []
-    assert wheel.pending == 0
-
-
-def test_far_future_cascades():
-    """A timer landing in a coarse level must cascade down correctly."""
-    wheel = TimerWheel(tick_ns=1)
-    fired = []
-    delay = SLOTS_PER_LEVEL * 10 + 7   # beyond level 0's span
-    wheel.add(delay, lambda: fired.append(wheel.current_tick))
-    wheel.advance_to(delay - 1)
-    assert fired == []
-    wheel.advance_to(delay)
-    assert fired == [delay]
+    sim.run(until=1000)
+    assert fired == [1000]
 
 
 def test_many_timers_ordering():
-    wheel = TimerWheel(tick_ns=1)
+    sim, wheel = make(tick_ns=1)
     fired = []
     for d in (500, 100, 900, 100, 300):
         wheel.add(d, lambda d=d: fired.append(d))
-    wheel.advance_to(1000)
+    sim.run()
     assert fired == [100, 100, 300, 500, 900]
 
 
 def test_pending_counter():
-    wheel = TimerWheel(tick_ns=1)
+    sim, wheel = make(tick_ns=1)
     wheel.add(10, lambda: None)
     wheel.add(20, lambda: None)
     assert wheel.pending == 2
-    wheel.advance_to(15)
+    sim.run(until=15)
     assert wheel.pending == 1
+    sim.run()
+    assert wheel.pending == 0
 
 
 def test_negative_delay_raises():
-    wheel = TimerWheel()
+    _sim, wheel = make()
     with pytest.raises(ValueError):
         wheel.add(-1, lambda: None)
+    assert wheel.pending == 0
 
 
 def test_bad_tick_raises():
     with pytest.raises(ValueError):
-        TimerWheel(tick_ns=0)
-
-
-def test_next_pending_expiry():
-    wheel = TimerWheel(tick_ns=1000)
-    assert wheel.next_pending_expiry_ns() is None
-    wheel.add(5_000, lambda: None)
-    wheel.add(2_000, lambda: None)
-    assert wheel.next_pending_expiry_ns() == 2_000
-
-
-def test_level_structure():
-    assert LEVELS == 9
-    assert SLOTS_PER_LEVEL == 64
+        DrivenTimerWheel(Simulator(), tick_ns=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     delays=st.lists(st.integers(min_value=0, max_value=2_000_000),
                     min_size=1, max_size=60),
-    step=st.integers(min_value=1, max_value=100_000),
+    step=st.integers(min_value=100, max_value=100_000),
 )
 def test_property_all_timers_fire_at_or_after_expiry(delays, step):
-    """Every timer fires exactly once, never before its (rounded) expiry,
-    and within one level-granularity span after it."""
-    wheel = TimerWheel(tick_ns=1)
+    """Every timer fires exactly once, on the first tick at or after
+    its delay (a sub-tick delay rounds up to one tick), however the
+    run is sliced (down to a tenth of a tick)."""
+    tick = 1000
+    sim, wheel = make(tick_ns=tick)
     fired = {}
     for i, d in enumerate(delays):
-        wheel.add(d, lambda i=i: fired.setdefault(i, wheel.current_tick))
-    horizon = max(delays) + 2 * step + 1
+        wheel.add(d, lambda i=i: fired.setdefault(i, []).append(sim.now))
     t = 0
-    while t < horizon:
+    while wheel.pending:
         t += step
-        wheel.advance_to(t)
-    assert len(fired) == len(delays)
+        sim.run(until=t)
     for i, d in enumerate(delays):
-        expiry = max(1, d)   # sub-tick rounds up to 1
-        assert fired[i] >= expiry
-        assert fired[i] <= horizon
+        assert fired[i] == [max(1, -(-d // tick)) * tick]
 
 
 @settings(max_examples=40, deadline=None)
@@ -133,23 +104,21 @@ def test_property_all_timers_fire_at_or_after_expiry(delays, step):
                     min_size=2, max_size=40)
 )
 def test_property_firing_order_respects_expiry(delays):
-    """When advanced tick-by-tick, timers fire in expiry order."""
-    wheel = TimerWheel(tick_ns=1)
+    """Timers fire in expiry order, and in insertion order within a
+    tick."""
+    tick = 1000
+    sim, wheel = make(tick_ns=tick)
     fired = []
-    for d in delays:
-        wheel.add(d, lambda d=d: fired.append(d))
-    wheel.advance_to(max(delays) + 1)
-    assert fired == sorted(fired)
-    assert sorted(fired) == sorted(delays)
+    for i, d in enumerate(delays):
+        wheel.add(d, lambda i=i: fired.append(i))
+    sim.run()
+    assert fired == sorted(range(len(delays)),
+                           key=lambda i: (-(-delays[i] // tick), i))
 
 
 class TestDrivenWheel:
     def test_fires_with_jiffy_granularity(self):
-        from repro.kernel.timerwheel import DrivenTimerWheel
-        from repro.sim.core import Simulator
-
-        sim = Simulator()
-        driven = DrivenTimerWheel(sim, tick_ns=1_000_000)
+        sim, driven = make(tick_ns=1_000_000)
         fired = []
         driven.add(2_500_000, lambda: fired.append(sim.now))
         sim.run()
@@ -158,35 +127,22 @@ class TestDrivenWheel:
         assert fired[0] == 3_000_000
 
     def test_idle_wheel_costs_no_events(self):
-        from repro.kernel.timerwheel import DrivenTimerWheel
-        from repro.sim.core import Simulator
-
-        sim = Simulator()
-        DrivenTimerWheel(sim, tick_ns=1_000_000)
+        sim, _driven = make(tick_ns=1_000_000)
         sim.call_after(100_000_000, lambda: None)
         sim.run()
         # only the single user callback: no per-tick churn
-        assert sim._seq <= 2
+        assert sim.events_scheduled == 1
 
     def test_stops_ticking_after_last_timer(self):
-        from repro.kernel.timerwheel import DrivenTimerWheel
-        from repro.sim.core import Simulator
-
-        sim = Simulator()
-        driven = DrivenTimerWheel(sim, tick_ns=1_000_000)
+        sim, driven = make(tick_ns=1_000_000)
         driven.add(1_000_000, lambda: None)
         sim.run()
-        end = sim.now
         assert driven.pending == 0
-        # no event horizon beyond the fire time
-        assert end <= 2_000_000
+        # one tick event, at the fire time, and none after it
+        assert (sim.now, sim.events_scheduled) == (1_000_000, 1)
 
     def test_rearming_from_callback(self):
-        from repro.kernel.timerwheel import DrivenTimerWheel
-        from repro.sim.core import Simulator
-
-        sim = Simulator()
-        driven = DrivenTimerWheel(sim, tick_ns=1_000_000)
+        sim, driven = make(tick_ns=1_000_000)
         fired = []
 
         def periodic():
@@ -196,6 +152,7 @@ class TestDrivenWheel:
 
         driven.add(2_000_000, periodic)
         sim.run()
-        assert len(fired) == 5
-        gaps = [b - a for a, b in zip(fired, fired[1:])]
-        assert all(g >= 2_000_000 for g in gaps)
+        assert fired == [2_000_000, 4_000_000, 6_000_000, 8_000_000,
+                         10_000_000]
+        # one tick per jiffy while a timer is pending
+        assert sim.events_scheduled == 10

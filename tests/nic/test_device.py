@@ -35,16 +35,6 @@ def test_irq_fires_at_next_arrival():
     assert fired[0] == 1 * MS  # first CBR arrival
 
 
-def test_irq_disarm():
-    sim = Simulator()
-    port = NicPort(sim, [CbrProcess(1_000)])
-    fired = []
-    port.irq_arm(0, lambda: fired.append(1))
-    port.irq_disarm(0)
-    sim.run(until=10 * MS)
-    assert fired == []
-
-
 def test_irq_arm_with_dead_source_returns_false():
     sim = Simulator()
     port = NicPort(sim, [CbrProcess(0)])
@@ -132,14 +122,3 @@ def test_irq_batch_rearm_from_callback():
     port.irq_arm(0, on_irq)
     sim.run(until=10_000)
     assert fired == [1_000, 2_000, 3_000]
-
-
-def test_irq_disarm_one_of_two_keeps_other():
-    sim = Simulator()
-    port = NicPort(sim, [CbrProcess(1_000_000), CbrProcess(1_000_000)])
-    fired = []
-    port.irq_arm(0, lambda: fired.append(0))
-    port.irq_arm(1, lambda: fired.append(1))
-    port.irq_disarm(0)
-    sim.run(until=1_500)
-    assert fired == [1]

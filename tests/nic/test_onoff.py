@@ -1,10 +1,14 @@
 """Unit tests for the ON/OFF bursty traffic process."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from repro.nic.traffic import OnOffProcess
+from repro import config
+from repro.nic.traffic import OnOffProcess, triangle_ramp
+from repro.sim.rng import RandomStreams
 from repro.sim.units import MS, SEC, US
 
 
@@ -86,3 +90,73 @@ def test_validation():
 def test_rate_at_reports_phase():
     p = make(start_on=True, rate=7_000_000)
     assert p.rate_at(0) == 7_000_000
+
+
+#: sha256 of :func:`_interleave`'s answers, per process
+ARRIVALS_PIN = {
+    "bursty-1":
+        "6e00c72306cdd53920553c0af76a37f1bf3733c8e84d7d435bee7344ca63b03f",
+    "bursty-2":
+        "2f9ee040b7a3589e89666496498298ffdd14f274ee7fffe5c04fb3ad75e9bccb",
+    "bursty-3":
+        "8a21625cb652665117791a2c9649d92495ee2f62769c363a0373d1a0ff7802e9",
+    "triangle":
+        "b4db7f234281737d3fa3fc417c8b5617aca538a8fb8977109ffa342924faf3b1",
+}
+
+
+#: the same for 1-2 ns phases at line rate, over 60 µs
+ONE_NS_PIN = \
+    "1ba7efcc974470e0a64b120a561c8162976d97452ad84269a45968ef4513c91a"
+
+
+class _CountingRandom(random.Random):
+    """A ``random.Random`` that counts the phase draws made from it."""
+
+    draws = 0
+
+    def expovariate(self, lambd):
+        self.draws += 1
+        return super().expovariate(lambd)
+
+
+def _interleave(process, unit=US, rng=None):
+    """``advance``, ``next_arrival_after`` and ``time_for_count`` at a
+    fixed, irregular cadence over 60,000 ``unit``; the sha256 of every
+    answer in call order, and of ``rng``'s draw count after each step
+    when given one."""
+    steps = (7 * unit, 130 * unit, 1, 45 * unit, 333 * unit, 2 * unit,
+             90 * unit)
+    out, t, i = [], 0, 0
+    while t < 60_000 * unit:
+        t += steps[i % len(steps)]
+        out.append(process.advance(t))
+        out.append(process.next_arrival_after(t + i % 4 * 10 * unit))
+        out.append(process.time_for_count(t, i % 5))
+        if rng is not None:
+            out.append(rng.draws)
+        i += 1
+    out.append(process.total)
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_arrivals_pinned():
+    """The bursty extension's process and the §5.3 ramp answer every
+    query as they always have: same draws, same boundary walk."""
+    got = {
+        f"bursty-{s}": _interleave(OnOffProcess(
+            config.LINE_RATE_PPS, 200 * US, 600 * US,
+            RandomStreams(s).stream("bursty")))
+        for s in (1, 2, 3)
+    }
+    got["triangle"] = _interleave(triangle_ramp(60 * MS, 14_000_000))
+    assert got == ARRIVALS_PIN
+
+
+def test_one_ns_phases_pinned():
+    """Phases of a nanosecond or two: a walk that reaches the newest
+    phase draws until one starts past that phase's first nanosecond,
+    as it always has (one draw fewer shifts every later phase)."""
+    rng = _CountingRandom(5)
+    process = OnOffProcess(config.LINE_RATE_PPS, 1, 2, rng)
+    assert _interleave(process, unit=1, rng=rng) == ONE_NS_PIN

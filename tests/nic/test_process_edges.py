@@ -1,8 +1,8 @@
 """Edge cases for the synthetic arrival processes.
 
-Boundary behavior the figures lean on: bounded CBR windows ending
-exactly at ``end``, zero-rate ramp segments, advances landing exactly
-on segment boundaries, and degenerate ON/OFF phase durations.
+Boundary behavior the figures lean on: a silent CBR source, zero-rate
+ramp segments, advances landing exactly on segment boundaries, and
+degenerate ON/OFF phase durations.
 """
 
 import random
@@ -13,28 +13,7 @@ from repro.nic.traffic import CbrProcess, OnOffProcess, RampProfile
 from repro.sim.units import US
 
 
-# -- CbrProcess with an end -------------------------------------------- #
-
-
-def test_cbr_time_for_count_at_end_is_inclusive():
-    # 1 Mpps: one packet per 1000 ns; window closes exactly on arrival 1
-    p = CbrProcess(1_000_000, start=0, end=1000)
-    assert p.time_for_count(0, 1) == 1000
-    assert p.time_for_count(0, 2) is None  # arrival 2 would land past end
-
-
-def test_cbr_next_arrival_respects_end():
-    p = CbrProcess(1_000_000, start=0, end=1000)
-    assert p.next_arrival_after(0) == 1000
-    assert p.next_arrival_after(1000) is None
-
-
-def test_cbr_counts_stop_at_end():
-    p = CbrProcess(1_000_000, start=0, end=5000)
-    assert p.advance(5000) == 5
-    assert p.advance(50_000) == 0
-    assert p.rate_at(5001) == 0.0
-    assert p.rate_at(5000) == 1_000_000.0  # end itself still in-window
+# -- CbrProcess at zero rate ------------------------------------------- #
 
 
 def test_cbr_zero_rate():

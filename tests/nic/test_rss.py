@@ -115,16 +115,6 @@ class TestSteering:
         # ports must not matter for non-TCP/UDP
         assert rss.queue_for(icmp1) == rss.queue_for(icmp2)
 
-    def test_retarget(self):
-        rss = RssSteering(num_queues=2)
-        rss.retarget([0] * len(rss.table))
-        h = PacketHeader(ipv4(10, 0, 0, 1), ipv4(10, 0, 0, 2), 5, 6)
-        assert rss.queue_for(h) == 0
-        with pytest.raises(ValueError):
-            rss.retarget([5] * len(rss.table))
-        with pytest.raises(ValueError):
-            rss.retarget([0])
-
     def test_needs_queue(self):
         with pytest.raises(ValueError):
             RssSteering(num_queues=0)

@@ -59,16 +59,6 @@ class TestCbr:
         assert p.advance(t - 1) == 0
         assert p.advance(t) == 1
 
-    def test_end_bound(self):
-        p = CbrProcess(1_000_000, end=1 * MS)
-        assert p.advance(2 * MS) == 1000
-        assert p.next_arrival_after(2 * MS) is None
-
-    def test_start_offset(self):
-        p = CbrProcess(1_000_000, start=5 * MS)
-        assert p.advance(5 * MS) == 0
-        assert p.advance(6 * MS) == 1000
-
     def test_time_for_count_exact(self):
         p = CbrProcess(1_000_000)
         t8 = p.time_for_count(0, 8)

@@ -25,11 +25,9 @@ def make_trace(duration_ms=10, seed=config.DEFAULT_SEED):
 
 def test_device_numbers_queues_contiguously_across_ports():
     # one NicPort is the whole device: its queues are numbered 0..n-1
-    # and inherit the port's node unless queue_nodes overrides
     sim = Simulator()
-    port = NicPort(sim, [CbrProcess(0) for _ in range(5)], node=1)
+    port = NicPort(sim, [CbrProcess(0) for _ in range(5)])
     assert [q.index for q in port.queues] == [0, 1, 2, 3, 4]
-    assert [q.node for q in port.queues] == [1, 1, 1, 1, 1]
 
 
 def test_per_queue_node_overrides():
@@ -45,20 +43,6 @@ def test_device_requires_ports():
     # the port is the device, so an empty one has no queues to serve
     with pytest.raises(ValueError, match="at least one queue"):
         NicPort(Simulator(), [])
-
-
-def test_port_queue_for_follows_rss_table():
-    sim = Simulator()
-    flows = FlowSet(num_flows=64)
-    rss = RssSteering(4)
-    port = NicPort(sim, [CbrProcess(0) for _ in range(4)],
-                   flows=flows, rss=rss)
-    for fid in range(flows.num_flows):
-        header = flows.header_of_flow(fid)
-        assert port.queue_for(header) is port.queues[rss.queue_for(header)]
-    bare = NicPort(sim, [CbrProcess(0)])
-    with pytest.raises(ValueError, match="no RSS"):
-        bare.queue_for(flows.header_of_flow(0))
 
 
 # --------------------------------------------------------------------- #

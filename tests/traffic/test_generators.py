@@ -51,8 +51,10 @@ def test_seed_sensitivity():
 
 
 def test_spec_json_round_trip():
-    spec = benign_phased(10 * MS)
-    assert TraceSpec.from_dict(spec.to_dict()) == spec
+    for make in SHIPPED_TRACES.values():
+        spec = make(10 * MS)
+        text = json.dumps(spec.to_dict())
+        assert TraceSpec.from_dict(json.loads(text)) == spec
 
 
 def test_phase_spec_validation():
@@ -112,6 +114,29 @@ def test_phase_spec_from_json_rejects_an_unknown_key():
                    '"flow": 4}')
     with pytest.raises(ValueError, match=r"'p': unknown key\(s\) 'flow'"):
         PhaseSpec.from_dict(d)
+
+
+_PHASE = {"name": "p", "duration_ns": 1000, "rate_pps": 1000}
+
+
+@pytest.mark.parametrize("cls, d, match", [
+    (PhaseSpec, {"name": "p", "duration_ns": 1000},
+     r"phase 'p': missing key\(s\) 'rate_pps'"),
+    (PhaseSpec, {"duration_ns": 1000},
+     r"phase: missing key\(s\) 'name', 'rate_pps'"),
+    (PhaseSpec, ["p", 1000, 1000],
+     r"phase \['p', 1000, 1000\] is not a mapping"),
+    (TraceSpec, {"name": "t", "phases": [_PHASE], "seed": 1},
+     r"trace spec 't': unknown key\(s\) 'seed'"),
+    (TraceSpec, {"phases": [_PHASE]}, r"trace spec: missing key\(s\) 'name'"),
+    (TraceSpec, {"name": "t", "phases": "x"},
+     r"trace spec 't': phases 'x' is not a list"),
+    (TraceSpec, {"name": "t", "phases": ["x"]}, r"phase 'x' is not a mapping"),
+    (TraceSpec, "t", r"trace spec 't' is not a mapping"),
+])
+def test_spec_from_dict_names_the_bad_key(cls, d, match):
+    with pytest.raises(ValueError, match=match):
+        cls.from_dict(d)
 
 
 @pytest.mark.parametrize("name", sorted(SHIPPED_TRACES))
