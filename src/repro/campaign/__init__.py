@@ -9,7 +9,9 @@ cached, observable experiment pipeline:
   sharding with per-task timeouts and fresh-worker retries; merged
   records are byte-identical to the serial sweep;
 * **cache** (:mod:`~repro.campaign.cache`) — content-addressed result
-  store keyed by spec + code fingerprint;
+  store keyed by spec + code fingerprint, and the campaign's only
+  record of progress: a re-run resumes from it, and an unsharded run
+  over it assembles a sharded campaign;
 * **artifacts** (:mod:`~repro.campaign.artifacts`) — atomic ``.txt`` /
   ``.json`` tables and the ``BENCH_campaign.json`` roll-up.
 
@@ -46,53 +48,30 @@ from repro.campaign.executor import (
     TaskOutcome,
     campaign_specs,
     execute_task,
-    merge_shards,
     run_campaign,
     run_tasks,
 )
-from repro.campaign.journal import (
-    JOURNAL_SUBDIR,
-    CampaignJournal,
-    JournalError,
-    JournalState,
-    campaign_identity,
-    journal_key,
-    journal_path,
-    load_journal,
-    open_for_resume,
-)
 from repro.campaign.registry import FIGURES, get_figure
-from repro.campaign.spec import FigureSpec, SweepSpec, TaskSpec, json_normalize
+from repro.campaign.spec import FigureSpec, TaskSpec, json_normalize
 
 __all__ = [
     "CAMPAIGN_SUMMARY",
-    "JOURNAL_SUBDIR",
-    "CampaignJournal",
     "CampaignResult",
     "FIGURES",
     "FigureSpec",
     "InjectedFailure",
-    "JournalError",
-    "JournalState",
     "ResultCache",
-    "SweepSpec",
     "TaskOutcome",
     "TaskSpec",
     "atomic_write_json",
     "atomic_write_text",
-    "campaign_identity",
     "campaign_specs",
     "default_cache_dir",
     "default_results_dir",
     "execute_task",
     "figure_payload",
     "get_figure",
-    "journal_key",
-    "journal_path",
     "json_normalize",
-    "load_journal",
-    "merge_shards",
-    "open_for_resume",
     "package_digest",
     "read_campaign_summary",
     "render_figure",

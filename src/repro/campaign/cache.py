@@ -131,8 +131,6 @@ class ResultCache:
 
     def __init__(self, root: str):
         self.root = root
-        self.hits = 0
-        self.misses = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, f"{key}.json")
@@ -146,7 +144,6 @@ class ResultCache:
             record = entry["record"]
             elapsed = float(entry["elapsed_s"])
         except OSError:
-            self.misses += 1
             return None
         except (ValueError, KeyError, TypeError):
             # the file opened but does not parse as an entry — it can
@@ -156,9 +153,7 @@ class ResultCache:
                 os.unlink(path)
             except OSError:
                 pass
-            self.misses += 1
             return None
-        self.hits += 1
         return CacheEntry(record=record, elapsed_s=elapsed)
 
     def put(self, spec: TaskSpec, record: Any, elapsed_s: float,
@@ -190,11 +185,6 @@ class ResultCache:
         atomic_write_text(path, body + "\n")
         return key
 
-    @property
-    def hit_rate(self) -> float:
-        seen = self.hits + self.misses
-        return self.hits / seen if seen else 0.0
-
     def stats(self) -> Dict[str, Any]:
         entries = 0
         size = 0
@@ -207,19 +197,3 @@ class ResultCache:
         except OSError:
             pass
         return {"dir": self.root, "entries": entries, "bytes": size}
-
-    def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
-        removed = 0
-        try:
-            names = os.listdir(self.root)
-        except OSError:
-            return 0
-        for name in names:
-            if name.endswith(".json"):
-                try:
-                    os.unlink(os.path.join(self.root, name))
-                    removed += 1
-                except OSError:
-                    pass
-        return removed

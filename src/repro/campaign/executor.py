@@ -1,11 +1,11 @@
-"""The campaign executor: sharded, cached, journaled, retrying execution.
+"""The campaign executor: sharded, cached, retrying execution.
 
 Tasks run across N worker processes (``ProcessPoolExecutor``).  Each
 task is independent — a scenario call at one grid point with an
 explicit seed — so execution order cannot affect results; the merge
 step reassembles records in serial order and the output is
 byte-identical to running the sweep in one process (asserted by
-``tests/campaign/test_determinism.py``).
+``tests/campaign/test_campaign_determinism.py``).
 
 **Failure taxonomy.**  A failed attempt is classified and handled by
 class:
@@ -33,11 +33,6 @@ every simulation stream).  A task that exhausts its attempts is
 figure merge, and reported — the campaign completes with partial
 results and a non-zero exit instead of aborting the whole grid.
 
-With a :class:`~repro.campaign.journal.CampaignJournal` attached, every
-resolved outcome is appended and fsynced before the campaign proceeds,
-so a SIGKILLed campaign resumes from its journal re-executing only the
-unfinished tail (see :mod:`repro.campaign.journal`).
-
 Tasks are submitted to the pool at most ``workers`` at a time (the
 backlog stays in the executor's own queue), so a submitted future is
 genuinely executing and its timeout clock is fair — over-submitting
@@ -50,12 +45,16 @@ degrades into bounded retries instead of an infinite poll.
 
 With a :class:`~repro.campaign.cache.ResultCache` attached, tasks whose
 content address (spec + code fingerprint) already has an entry are
-served from disk without touching a worker.
+served from disk without touching a worker, and every success is
+published there (atomically, fsynced) before the campaign moves on.
+The cache is the campaign's only record of progress: re-running a
+SIGKILLed campaign re-executes only the tasks it had not finished, and
+an unsharded run over the cache its shards filled assembles them.
+Quarantined tasks are not stored, so a re-run retries them.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import time
 from collections import deque
@@ -66,15 +65,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import config
-from repro.campaign.cache import ResultCache, package_digest, scenario_fingerprint
-from repro.campaign.journal import (
-    CampaignJournal,
-    campaign_identity,
-    journal_key,
-    journal_path,
-    load_journal,
-    open_for_resume,
-)
+from repro.campaign.cache import ResultCache, scenario_fingerprint
 from repro.campaign.spec import FigureSpec, TaskSpec, json_normalize
 from repro.sim.rng import RandomStreams
 
@@ -131,9 +122,6 @@ class TaskOutcome:
     #: True when the task exhausted its attempts and was excluded from
     #: the merge (the campaign still completes, with non-zero exit)
     quarantined: bool = False
-    #: True when the outcome was replayed from a journal (``--resume``)
-    #: or a shard merge rather than executed in this run
-    resumed: bool = False
 
     @property
     def ok(self) -> bool:
@@ -152,8 +140,6 @@ class CampaignResult:
     seed: int = config.DEFAULT_SEED
     #: this invocation's slice of the grid (``--shard i/N``)
     shard: Tuple[int, int] = (1, 1)
-    #: the campaign's identity digest (names the journal files)
-    identity: str = ""
 
     @property
     def cache_hits(self) -> int:
@@ -161,8 +147,7 @@ class CampaignResult:
 
     @property
     def cache_misses(self) -> int:
-        return sum(1 for o in self.outcomes
-                   if not o.from_cache and not o.resumed)
+        return sum(1 for o in self.outcomes if not o.from_cache)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -175,10 +160,6 @@ class CampaignResult:
     @property
     def quarantined(self) -> List[TaskOutcome]:
         return [o for o in self.outcomes if o.quarantined]
-
-    @property
-    def resumed_count(self) -> int:
-        return sum(1 for o in self.outcomes if o.resumed)
 
     def record_for(self, figure: str) -> Optional[List]:
         """The figure's merged record (serial order), or ``None`` if any
@@ -216,12 +197,10 @@ class CampaignResult:
             "scale": self.scale,
             "seed": self.seed,
             "shard": list(self.shard),
-            "identity": self.identity[:16] if self.identity else "",
             "figures": list(self.figures),
             "tasks_total": len(self.outcomes),
             "failures": len(self.failures),
             "quarantined": len(self.quarantined),
-            "resumed": self.resumed_count,
             "cache": {
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
@@ -235,7 +214,6 @@ class CampaignResult:
                     "elapsed_s": o.elapsed_s,
                     "attempts": o.attempts,
                     "from_cache": o.from_cache,
-                    "resumed": o.resumed,
                     "error": o.error,
                     "failure_class": o.failure_class,
                     "quarantined": o.quarantined,
@@ -303,8 +281,6 @@ def run_tasks(
     retries: int = 2,
     fail_tasks: Optional[str] = None,
     progress: bool = False,
-    journal: Optional[CampaignJournal] = None,
-    completed: Optional[Mapping[str, Mapping[str, Any]]] = None,
     backoff_base_s: float = 0.0,
     backoff_seed: int = config.DEFAULT_SEED,
 ) -> List[TaskOutcome]:
@@ -313,12 +289,7 @@ def run_tasks(
     ``workers=0`` runs everything serially in the current process
     (no per-task timeout there — nothing to kill).  ``retries`` is the
     number of *re*-attempts after the first failure or timeout.
-
-    ``journal`` receives one fsynced record per resolved task plus the
-    retry trail; ``completed`` (journal key -> prior ``task`` record,
-    from :meth:`JournalState.completed`) short-circuits tasks a
-    previous run already finished — the ``--resume`` path.  Retries
-    sleep ``min(cap, backoff_base_s * 2^(attempt-1)) * (0.5 + u)``
+    Retries sleep ``min(cap, backoff_base_s * 2^(attempt-1)) * (0.5 + u)``
     seconds with ``u`` from the dedicated ``campaign.backoff`` stream,
     so backoff timing is reproducible per seed and never touches any
     simulation stream.
@@ -332,33 +303,23 @@ def run_tasks(
                     for s in specs} if cache is not None else {}
     backoff_rng = (RandomStreams(backoff_seed).stream("campaign.backoff")
                    if backoff_base_s > 0 else None)
-    #: per-position failure-class history across attempts
-    classes: Dict[int, List[str]] = {}
+    #: per-position class of the last failed attempt
+    last_class: Dict[int, str] = {}
     #: pending backoff sleep (seconds) owed before a task's next attempt
     backoff_due: Dict[int, float] = {}
 
     pending: List[Tuple[int, TaskSpec]] = []
     for pos, spec in enumerate(specs):
-        prior = completed.get(journal_key(spec)) if completed else None
-        if prior is not None:
-            outcomes[pos] = TaskOutcome(
-                spec=spec, record=prior["record"],
-                elapsed_s=prior.get("elapsed_s", 0.0),
-                attempts=prior.get("attempts", 1), resumed=True)
-            continue
         entry = cache.get(spec, fingerprints[spec.scenario]) \
             if cache is not None else None
         if entry is not None:
             outcomes[pos] = TaskOutcome(
                 spec=spec, record=entry.record, elapsed_s=entry.elapsed_s,
                 from_cache=True)
-            if journal is not None:
-                journal.task_resolved(
-                    spec, status="ok", attempts=0, record=entry.record,
-                    elapsed_s=entry.elapsed_s)
         else:
             pending.append((pos, spec))
 
+    attempts: Dict[int, int] = {pos: 0 for pos, _ in pending}
     prog = _Progress(progress, len(specs))
 
     def _done_counts() -> Tuple[int, int, int]:
@@ -368,43 +329,35 @@ def run_tasks(
         return done, cached, failed
 
     def _store_success(pos: int, spec: TaskSpec, record: Any,
-                       elapsed: float, attempts: int) -> None:
+                       elapsed: float) -> None:
         outcomes[pos] = TaskOutcome(
-            spec=spec, record=record, elapsed_s=elapsed, attempts=attempts,
-            failure_class=classes[pos][-1] if classes.get(pos) else None)
+            spec=spec, record=record, elapsed_s=elapsed,
+            attempts=attempts[pos],
+            failure_class=last_class.get(pos))
         if cache is not None:
             cache.put(spec, record, elapsed, fingerprints[spec.scenario])
-        if journal is not None:
-            journal.task_resolved(
-                spec, status="ok", attempts=attempts, record=record,
-                elapsed_s=elapsed, classes=classes.get(pos, ()))
 
-    def _quarantine(pos: int, spec: TaskSpec, attempts_n: int,
-                    error: str) -> None:
-        last = classes[pos][-1] if classes.get(pos) else None
-        outcomes[pos] = TaskOutcome(
-            spec=spec, attempts=attempts_n, error=error,
-            failure_class=last, quarantined=True)
-        if journal is not None:
-            journal.task_resolved(
-                spec, status="quarantined", attempts=attempts_n,
-                error=error, classes=classes.get(pos, ()))
-
-    def _note_failure(pos: int, spec: TaskSpec, failure_class: str,
-                      error: str, attempt: int,
-                      isolated: bool = False) -> float:
-        """Record one failed attempt; returns the backoff it earns."""
-        classes.setdefault(pos, []).append(failure_class)
+    def _note_failure(pos: int, failure_class: str) -> None:
+        """Record one failed attempt and the backoff it earns."""
+        last_class[pos] = failure_class
         owed = 0.0
-        if backoff_rng is not None and attempt > 0:
+        if backoff_rng is not None and attempts[pos] > 0:
             owed = min(BACKOFF_CAP_S,
-                       backoff_base_s * (2.0 ** (attempt - 1)))
+                       backoff_base_s * (2.0 ** (attempts[pos] - 1)))
             owed *= 0.5 + backoff_rng.random()
         backoff_due[pos] = owed
-        if journal is not None:
-            journal.retry(spec, attempt=attempt, failure_class=failure_class,
-                          error=error, backoff_s=owed, isolated=isolated)
-        return owed
+
+    def _retry(pos: int, spec: TaskSpec, failure_class: str,
+               error: str) -> bool:
+        """Record a charged failed attempt: True if the task has
+        attempts left, else it is quarantined."""
+        _note_failure(pos, failure_class)
+        if attempts[pos] <= retries:
+            return True
+        outcomes[pos] = TaskOutcome(
+            spec=spec, attempts=attempts[pos], error=error,
+            failure_class=failure_class, quarantined=True)
+        return False
 
     def _sleep_backoff(batch: Sequence[Tuple[int, TaskSpec]]) -> None:
         """Pay the largest backoff owed by this wave's retries, once —
@@ -415,8 +368,6 @@ def run_tasks(
         if owed > 0:
             time.sleep(owed)
 
-    attempts: Dict[int, int] = {pos: 0 for pos, _ in pending}
-
     if workers <= 0:
         for pos, spec in pending:
             while True:
@@ -426,15 +377,12 @@ def run_tasks(
                 try:
                     record = execute_task(spec, fail_tasks=fail_tasks)
                 except Exception as exc:
-                    err = f"{type(exc).__name__}: {exc}"
-                    _note_failure(pos, spec, "error", err, attempts[pos])
-                    if attempts[pos] <= retries:
+                    if _retry(pos, spec, "error",
+                              f"{type(exc).__name__}: {exc}"):
                         continue
-                    _quarantine(pos, spec, attempts[pos], err)
                     break
                 _store_success(pos, spec, record,
-                               time.perf_counter() - t_task,
-                               attempts[pos])
+                               time.perf_counter() - t_task)
                 break
             done, cached, failed = _done_counts()
             prog.update(done, cached, 0, failed)
@@ -471,16 +419,10 @@ def run_tasks(
                 else:
                     pool.shutdown(wait=True)
                     isolate.discard(pos)
-                    _store_success(pos, spec, record, elapsed,
-                                   attempts[pos])
+                    _store_success(pos, spec, record, elapsed)
                     continue
-                fclass, err = failure
-                _note_failure(pos, spec, fclass, err, attempts[pos],
-                              isolated=True)
-                if attempts[pos] <= retries:
+                if _retry(pos, spec, *failure):
                     next_round.append((pos, spec))
-                else:
-                    _quarantine(pos, spec, attempts[pos], err)
                 done, cached, failed = _done_counts()
                 prog.update(done, cached, 0, failed)
 
@@ -540,17 +482,12 @@ def run_tasks(
                         continue
                     except Exception as exc:
                         attempts[pos] += 1
-                        err = f"{type(exc).__name__}: {exc}"
-                        _note_failure(pos, spec, "error", err,
-                                      attempts[pos])
-                        if attempts[pos] <= retries:
+                        if _retry(pos, spec, "error",
+                                  f"{type(exc).__name__}: {exc}"):
                             next_round.append((pos, spec))
-                        else:
-                            _quarantine(pos, spec, attempts[pos], err)
                         continue
                     attempts[pos] += 1
-                    _store_success(pos, spec, record, elapsed,
-                                   attempts[pos])
+                    _store_success(pos, spec, record, elapsed)
                 if broken:
                     # the remaining in-flight futures are poisoned too
                     for fut in waiting:
@@ -560,22 +497,14 @@ def run_tasks(
                         # one task in flight: the culprit is known
                         pos, spec = crashed[0]
                         attempts[pos] += 1
-                        err = "worker process died"
-                        _note_failure(pos, spec, "crash", err,
-                                      attempts[pos])
-                        if attempts[pos] <= retries:
+                        if _retry(pos, spec, "crash", "worker process died"):
                             next_round.append((pos, spec))
-                        else:
-                            _quarantine(pos, spec, attempts[pos], err)
                     else:
                         # victims and culprit are indistinguishable:
                         # nobody is charged, everybody re-runs isolated
                         for pos, spec in crashed:
                             isolate.add(pos)
-                            _note_failure(
-                                pos, spec, "crash",
-                                "worker process died (shared pool)",
-                                attempts[pos], isolated=True)
+                            _note_failure(pos, "crash")
                             next_round.append((pos, spec))
                     break
                 for fut in list(waiting):
@@ -588,13 +517,9 @@ def run_tasks(
                     hung = True
                     pos, spec = futures[fut]
                     attempts[pos] += 1
-                    err = f"timeout after {timeout_s:.0f}s"
-                    _note_failure(pos, spec, "timeout", err,
-                                  attempts[pos])
-                    if attempts[pos] <= retries:
+                    if _retry(pos, spec, "timeout",
+                              f"timeout after {timeout_s:.0f}s"):
                         next_round.append((pos, spec))
-                    else:
-                        _quarantine(pos, spec, attempts[pos], err)
                 _fill()
                 done, cached, failed = _done_counts()
                 prog.update(done, cached, len(waiting), failed)
@@ -626,8 +551,8 @@ def campaign_specs(
 ) -> Tuple[Tuple[str, ...], List[TaskSpec]]:
     """Resolve a figure selection to ``(names, full task list)``.
 
-    The task list is the campaign's canonical serial order — sharding,
-    journaling, and merging all partition exactly this sequence.
+    The task list is the campaign's canonical serial order — sharding
+    partitions exactly this sequence.
     """
     from repro.campaign.registry import FIGURES
 
@@ -657,8 +582,6 @@ def run_campaign(
     progress: bool = False,
     registry: Optional[Mapping[str, FigureSpec]] = None,
     shard: Tuple[int, int] = (1, 1),
-    journal_dir: Optional[str] = None,
-    resume: bool = False,
     backoff_base_s: float = 0.0,
 ) -> CampaignResult:
     """Run a sweep over ``figures`` (default: every registered figure).
@@ -669,12 +592,8 @@ def run_campaign(
 
     ``shard=(i, N)`` runs the i-th of N deterministic partitions of the
     full task list (position modulo N), so CI matrices or multiple
-    machines can split a grid and ``merge_shards`` reassembles it.
-    ``journal_dir`` enables the crash-safe WAL (one file per campaign
-    identity and shard); with ``resume=True`` an existing journal's
-    completed tasks are replayed instead of re-executed.  Raises
-    :class:`~repro.campaign.journal.JournalError` if the journal
-    belongs to different code or a different campaign.
+    machines can split a grid; an unsharded run over the cache the
+    shards filled then assembles it from cache hits.
     """
     names, all_specs = campaign_specs(
         figures, scale=scale, seed=seed, registry=registry)
@@ -682,42 +601,11 @@ def run_campaign(
     if not (1 <= i <= n):
         raise ValueError(f"shard must be (i, N) with 1 <= i <= N, got {shard}")
     specs = [s for pos, s in enumerate(all_specs) if pos % n == i - 1]
-    identity = campaign_identity(
-        all_specs, seed=seed, scale=scale, figures=names)
-
-    journal: Optional[CampaignJournal] = None
-    completed: Optional[Dict[str, Dict[str, Any]]] = None
-    if journal_dir is not None:
-        package = package_digest()
-        path = journal_path(journal_dir, identity, shard)
-        if resume:
-            state, _ = open_for_resume(path, identity=identity,
-                                       package=package)
-            if state is not None:
-                completed = state.completed()
-        elif os.path.exists(path):
-            # a fresh (non-resume) run must not inherit stale decisions
-            os.unlink(path)
-        journal = CampaignJournal(path, {
-            "identity": identity,
-            "package_digest": package,
-            "shard": [i, n],
-            "total_tasks": len(specs),
-            "figures": list(names),
-            "seed": seed,
-            "scale": scale,
-        })
-
     t0 = time.perf_counter()
-    try:
-        outcomes = run_tasks(
-            specs, workers=workers, cache=cache, timeout_s=timeout_s,
-            retries=retries, fail_tasks=fail_tasks, progress=progress,
-            journal=journal, completed=completed,
-            backoff_base_s=backoff_base_s, backoff_seed=seed)
-    finally:
-        if journal is not None:
-            journal.close()
+    outcomes = run_tasks(
+        specs, workers=workers, cache=cache, timeout_s=timeout_s,
+        retries=retries, fail_tasks=fail_tasks, progress=progress,
+        backoff_base_s=backoff_base_s, backoff_seed=seed)
     return CampaignResult(
         outcomes=outcomes,
         figures=names,
@@ -726,98 +614,4 @@ def run_campaign(
         scale=scale,
         seed=seed,
         shard=shard,
-        identity=identity,
-    )
-
-
-def merge_shards(
-    figures: Optional[Sequence[str]] = None,
-    *,
-    shards: int,
-    scale: float = 1.0,
-    seed: int = config.DEFAULT_SEED,
-    journal_dir: str,
-    cache: Optional[ResultCache] = None,
-    registry: Optional[Mapping[str, FigureSpec]] = None,
-) -> CampaignResult:
-    """Reassemble a sharded campaign from its journals (plus the cache).
-
-    Loads every shard journal for the campaign's identity, validates
-    that each was written by the same code version as is running now,
-    and rebuilds the full-grid :class:`CampaignResult` — byte-identical
-    to an unsharded run of the same campaign, because each record is
-    deterministic per spec and the merge is pure reassembly.  Tasks
-    found in no journal fall back to the result cache; tasks found
-    nowhere come back as failures (``error`` starting with
-    ``"missing"``), and quarantined tasks keep their verdict.
-    """
-    from repro.campaign.journal import JournalError
-
-    names, all_specs = campaign_specs(
-        figures, scale=scale, seed=seed, registry=registry)
-    identity = campaign_identity(
-        all_specs, seed=seed, scale=scale, figures=names)
-    package = package_digest()
-
-    done: Dict[str, Dict[str, Any]] = {}
-    quarantined: Dict[str, Dict[str, Any]] = {}
-    shards_seen = 0
-    for i in range(1, shards + 1):
-        state = load_journal(journal_path(journal_dir, identity,
-                                          (i, shards)))
-        if state is None:
-            continue
-        if state.header.get("identity") != identity:
-            raise JournalError(
-                f"shard {i}/{shards}: journal identity does not match "
-                "this campaign"
-            )
-        if state.header.get("package_digest") != package:
-            raise JournalError(
-                f"shard {i}/{shards}: journal was written by a different "
-                "code version; re-run the shard before merging"
-            )
-        shards_seen += 1
-        done.update(state.completed())
-        quarantined.update(state.quarantined())
-
-    fingerprints = {s.scenario: scenario_fingerprint(s.scenario)
-                    for s in all_specs} if cache is not None else {}
-    outcomes: List[TaskOutcome] = []
-    for spec in all_specs:
-        key = journal_key(spec)
-        rec = done.get(key)
-        if rec is not None:
-            outcomes.append(TaskOutcome(
-                spec=spec, record=rec["record"],
-                elapsed_s=rec.get("elapsed_s", 0.0),
-                attempts=rec.get("attempts", 1), resumed=True))
-            continue
-        rec = quarantined.get(key)
-        if rec is not None:
-            klass = rec["classes"][-1] if rec.get("classes") else None
-            outcomes.append(TaskOutcome(
-                spec=spec, attempts=rec.get("attempts", 0),
-                error=rec.get("error") or "quarantined",
-                failure_class=klass, quarantined=True, resumed=True))
-            continue
-        entry = cache.get(spec, fingerprints[spec.scenario]) \
-            if cache is not None else None
-        if entry is not None:
-            outcomes.append(TaskOutcome(
-                spec=spec, record=entry.record,
-                elapsed_s=entry.elapsed_s, from_cache=True))
-            continue
-        outcomes.append(TaskOutcome(
-            spec=spec,
-            error=f"missing: {spec.label()} resolved by none of "
-                  f"{shards_seen}/{shards} shard journal(s) or the cache"))
-    return CampaignResult(
-        outcomes=outcomes,
-        figures=names,
-        workers=0,
-        scale=scale,
-        seed=seed,
-        shard=(shards_seen, shards),
-        identity=identity,
     )

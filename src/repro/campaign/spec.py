@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import config
 from repro.harness.report import render_table
@@ -160,41 +160,3 @@ class FigureSpec:
         rows = self.row_fn(record) if self.row_fn is not None else record
         return render_table(self.title, list(self.headers), rows,
                             note=self.note)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A whole campaign request: which figures, at what scale and seed.
-
-    Plain data with JSON round-trip, like
-    :class:`~repro.faults.plan.FaultPlan`, so campaign definitions can
-    be stored next to their artifacts and replayed exactly.
-    """
-
-    figures: Tuple[str, ...] = ()
-    scale: float = 1.0
-    seed: int = config.DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-        object.__setattr__(self, "figures", tuple(self.figures))
-
-    def to_dict(self) -> Dict:
-        return {"figures": list(self.figures), "scale": self.scale,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "SweepSpec":
-        return cls(figures=tuple(d.get("figures", ())),
-                   scale=d.get("scale", 1.0),
-                   seed=d.get("seed", config.DEFAULT_SEED))
-
-    def tasks(self, registry: Mapping[str, FigureSpec]) -> List[TaskSpec]:
-        names: Sequence[str] = self.figures or tuple(registry)
-        out: List[TaskSpec] = []
-        for name in names:
-            if name not in registry:
-                raise KeyError(f"unknown figure {name!r}")
-            out.extend(registry[name].tasks(scale=self.scale, seed=self.seed))
-        return out

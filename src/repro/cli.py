@@ -25,7 +25,6 @@ chrome://tracing) and prints the wake-latency anatomy.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Dict, List
 
@@ -406,9 +405,7 @@ def _parse_shard(text: str):
 
 def _emit_campaign_artifacts(camp, res, results_dir: str) -> None:
     """Render and atomically write every complete figure's artifacts,
-    print failures for incomplete ones, and write the campaign summary.
-    Shared by ``campaign run`` and ``campaign merge`` so a merged
-    sharded campaign emits byte-identical files to an unsharded run."""
+    print failures for incomplete ones, and write the campaign summary."""
     for name in res.figures:
         outs = res.figure_outcomes(name)
         record = res.record_for(name)
@@ -482,38 +479,6 @@ def _campaign_cmd(args) -> int:
             print(f"unknown figure(s) {', '.join(unknown)}; "
                   "try `repro campaign list`")
             return 2
-    cache = None
-    if not args.no_cache:
-        cache = camp.ResultCache(camp.default_cache_dir(results_dir))
-    journal_dir = os.path.join(results_dir, camp.JOURNAL_SUBDIR)
-
-    if args.campaign_cmd == "merge":
-        try:
-            res = camp.merge_shards(
-                figures,
-                shards=args.shards,
-                scale=FAST_SCALE if args.fast else 1.0,
-                seed=args.seed,
-                journal_dir=journal_dir,
-                cache=cache,
-            )
-        except camp.JournalError as exc:
-            print(f"merge refused: {exc}")
-            return 2
-        _emit_campaign_artifacts(camp, res, results_dir)
-        missing = [o for o in res.failures
-                   if o.error and o.error.startswith("missing")]
-        report = res.quarantine_report()
-        if report:
-            print("\n" + report)
-        print(f"\nmerge: {len(res.outcomes)} tasks from "
-              f"{res.shard[0]}/{res.shard[1]} shard journal(s), "
-              f"{len(res.failures)} failure(s) -> {results_dir}")
-        if missing:
-            return 2
-        return 1 if res.failures else 0
-
-    # run
     shard = (1, 1)
     if args.shard:
         try:
@@ -521,43 +486,40 @@ def _campaign_cmd(args) -> int:
         except ValueError as exc:
             print(f"bad --shard: {exc}")
             return 2
-    if args.resume and args.no_journal:
-        print("--resume needs the journal; drop --no-journal")
-        return 2
-    try:
-        res = camp.run_campaign(
-            figures,
-            workers=args.workers,
-            scale=FAST_SCALE if args.fast else 1.0,
-            seed=args.seed,
-            cache=cache,
-            timeout_s=args.timeout_s,
-            retries=args.retries,
-            fail_tasks=args.fail_tasks,
-            progress=True,
-            shard=shard,
-            journal_dir=None if args.no_journal else journal_dir,
-            resume=args.resume,
-            backoff_base_s=args.backoff_s,
-        )
-    except camp.JournalError as exc:
-        print(f"resume refused: {exc}")
-        return 2
+        if args.no_cache:
+            print("--shard stores its results only in the cache; "
+                  "drop --no-cache")
+            return 2
+    cache = None
+    if not args.no_cache:
+        cache = camp.ResultCache(camp.default_cache_dir(results_dir))
+    res = camp.run_campaign(
+        figures,
+        workers=args.workers,
+        scale=FAST_SCALE if args.fast else 1.0,
+        seed=args.seed,
+        cache=cache,
+        timeout_s=args.timeout_s,
+        retries=args.retries,
+        fail_tasks=args.fail_tasks,
+        progress=True,
+        shard=shard,
+        backoff_base_s=args.backoff_s,
+    )
     if shard == (1, 1):
         _emit_campaign_artifacts(camp, res, results_dir)
     else:
         # a shard holds an incomplete grid; figure artifacts would look
-        # whole but lie — emission waits for `repro campaign merge`
+        # whole but lie — the same run without --shard assembles them
         print(f"shard {shard[0]}/{shard[1]}: {len(res.outcomes)} task(s) "
-              "journaled; run `repro campaign merge` once every shard "
-              "is done")
+              "cached; once every shard is done, run the same command "
+              "without --shard to write the artifacts")
     report = res.quarantine_report()
     if report:
         print("\n" + report)
     print(f"\ncampaign: {len(res.outcomes)} tasks in {res.wall_s:.1f}s wall, "
           f"cache {res.cache_hits}/{len(res.outcomes)} "
           f"({100 * res.cache_hit_rate:.0f}% hit rate), "
-          f"{res.resumed_count} resumed, "
           f"{len(res.failures)} failure(s) -> {results_dir}")
     return 1 if res.failures else 0
 
@@ -711,34 +673,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="re-attempts per failed or timed-out task")
     crun.add_argument("--results-dir", default=None,
                       help="artifact directory (default benchmarks/results)")
-    crun.add_argument("--resume", action="store_true",
-                      help="replay this campaign's journal and re-execute "
-                           "only its unfinished tasks")
     crun.add_argument("--shard", default=None, metavar="i/N",
                       help="run the i-th of N deterministic partitions of "
-                           "the task grid (reassemble with `campaign merge`)")
-    crun.add_argument("--no-journal", action="store_true",
-                      help="skip the crash-safe journal (no --resume later)")
+                           "the task grid into the cache (the run without "
+                           "--shard assembles them)")
     crun.add_argument("--backoff-s", type=float, default=0.5,
                       help="base retry backoff, doubled per attempt with "
                            "seeded jitter (0 disables; default 0.5)")
     # test/CI hook: make the named figure's (or scenario's) tasks raise
     crun.add_argument("--fail-tasks", default=None, help=argparse.SUPPRESS)
-    cmerge = casub.add_parser(
-        "merge",
-        help="reassemble a sharded campaign's artifacts from its journals")
-    cmerge.add_argument("--shards", type=int, required=True, metavar="N",
-                        help="total shard count the campaign was split into")
-    cmerge.add_argument("--figures", default=None,
-                        help="comma-separated figure names (default: all)")
-    cmerge.add_argument("--seed", type=int, default=config.DEFAULT_SEED)
-    cmerge.add_argument("--fast", action="store_true",
-                        help="the shards were run with --fast")
-    cmerge.add_argument("--no-cache", action="store_true",
-                        help="do not fall back to the result cache for "
-                             "tasks missing from the journals")
-    cmerge.add_argument("--results-dir", default=None,
-                        help="artifact directory (default benchmarks/results)")
     cst = casub.add_parser(
         "status", help="show the last campaign summary and cache stats")
     cst.add_argument("--results-dir", default=None)

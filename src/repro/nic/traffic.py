@@ -21,6 +21,8 @@ Implementations:
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from math import inf
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -230,28 +232,28 @@ class RampProfile(ArrivalProcess):
         """Commit segments until the last one starts after ``t``; a
         fixed profile has nothing to commit."""
 
+    def _after(self, t: int) -> int:
+        """Index of the first segment starting strictly after ``t``."""
+        return bisect_right(self.segments, (t, inf))
+
     def _next_start(self, t: int) -> Optional[int]:
         """First segment start strictly after ``t`` (None: none left)."""
-        for start, _rate in self.segments:
-            if start > t:
-                return start
-        return None
+        i = self._after(t)
+        return self.segments[i][0] if i < len(self.segments) else None
 
     def _segment_rate(self, t: int) -> int:
-        rate = 0
-        for start, seg_rate in self.segments:
-            if t >= start:
-                rate = seg_rate
-            else:
-                break
-        return rate
+        i = self._after(t)
+        return self.segments[i - 1][1] if i else 0
 
     def _iter_pieces(self, t0: int, t1: int):
         """Yield (piece_start, piece_end, rate) covering (t0, t1]."""
-        boundaries = [s for s, _ in self.segments if t0 < s < t1]
-        edges = [t0] + boundaries + [t1]
-        for a, b in zip(edges, edges[1:]):
-            yield a, b, self._segment_rate(a)
+        segments = self.segments
+        i = self._after(t0)
+        rate = segments[i - 1][1] if i else 0
+        for start, next_rate in segments[i:bisect_left(segments, (t1,))]:
+            yield t0, start, rate
+            t0, rate = start, next_rate
+        yield t0, t1, rate
 
     # -- ArrivalProcess -------------------------------------------------- #
 
@@ -354,9 +356,7 @@ class OnOffProcess(RampProfile):
     def advance(self, t1: int) -> int:
         n = super().advance(t1)
         # trim consumed segments (keep the one covering last_t)
-        segments = self.segments
-        while len(segments) > 1 and segments[1][0] <= self.last_t:
-            segments.pop(0)
+        del self.segments[:max(0, self._after(self.last_t) - 1)]
         return n
 
 

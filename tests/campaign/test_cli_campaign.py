@@ -128,26 +128,19 @@ def test_results_dir_env_override(tmp_path, monkeypatch):
 
 
 def test_campaign_shard_then_merge_matches_unsharded(tmp_path, capsys):
-    """`--shard i/N` defers artifacts; `campaign merge` reassembles
-    them byte-identical to an unsharded run."""
+    """`--shard i/N` fills the cache and defers artifacts; the same run
+    without `--shard` assembles them byte-identical to an unsharded
+    run, from cache hits alone."""
     ref = tmp_path / "ref"
     assert _run(ref, "--no-cache") == 0
     sharded = tmp_path / "sharded"
     for shard in ("1/2", "2/2"):
-        rc = main([
-            "campaign", "run", "--figures", "fig7", "--workers", "0",
-            "--fast", "--no-cache", "--results-dir", str(sharded),
-            "--shard", shard,
-        ])
-        assert rc == 0
+        assert _run(sharded, "--shard", shard) == 0
     out = capsys.readouterr().out
-    assert "artifacts would look" not in out  # sanity: no crash text
-    assert "campaign merge" in out  # shard runs defer emission
+    assert "without --shard" in out  # shard runs defer emission
     assert not (sharded / "fig7.txt").exists()
-    rc = main(["campaign", "merge", "--shards", "2", "--figures", "fig7",
-               "--fast", "--no-cache", "--results-dir", str(sharded)])
-    assert rc == 0
-    capsys.readouterr()
+    assert _run(sharded) == 0
+    assert "cache 7/7" in capsys.readouterr().out
     assert (sharded / "fig7.txt").read_bytes() == \
         (ref / "fig7.txt").read_bytes()
     ref_record = json.loads((ref / "fig7.json").read_text())["record"]
@@ -155,45 +148,32 @@ def test_campaign_shard_then_merge_matches_unsharded(tmp_path, capsys):
     assert got_record == ref_record
 
 
-def test_campaign_merge_missing_shard_exits_2(tmp_path, capsys):
-    assert main([
-        "campaign", "run", "--figures", "fig7", "--workers", "0", "--fast",
-        "--no-cache", "--results-dir", str(tmp_path), "--shard", "1/2",
-    ]) == 0
-    rc = main(["campaign", "merge", "--shards", "2", "--figures", "fig7",
-               "--fast", "--no-cache", "--results-dir", str(tmp_path)])
-    assert rc == 2
-    assert "missing" in capsys.readouterr().out
-
-
-def test_campaign_resume_replays_journal(tmp_path, capsys):
-    assert _run(tmp_path, "--no-cache") == 0
-    first = (tmp_path / "fig7.txt").read_text()
-    rc = _run(tmp_path, "--no-cache", "--resume")
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "7 resumed" in out
-    assert (tmp_path / "fig7.txt").read_text() == first
+def test_campaign_assembly_computes_missing_shard(tmp_path, capsys):
+    """Where a shard never ran, the unsharded run computes its tasks."""
+    assert _run(tmp_path, "--shard", "1/2") == 0
+    capsys.readouterr()
+    assert _run(tmp_path) == 0
+    assert "cache 4/7" in capsys.readouterr().out
+    assert (tmp_path / "fig7.txt").exists()
 
 
 def test_campaign_bad_flag_combinations(tmp_path, capsys):
     assert _run(tmp_path, "--shard", "5/2") == 2
     assert "bad --shard" in capsys.readouterr().out
-    assert _run(tmp_path, "--resume", "--no-journal") == 2
-    assert "--resume needs the journal" in capsys.readouterr().out
+    # a shard's only output is its cache entries
+    assert _run(tmp_path, "--shard", "1/2", "--no-cache") == 2
+    assert "drop --no-cache" in capsys.readouterr().out
+    assert not (tmp_path / "cache").exists()
 
 
 def test_campaign_quarantine_report_printed(tmp_path, capsys):
-    rc = _run(tmp_path, "--no-cache", "--retries", "0", "--backoff-s", "0",
+    rc = _run(tmp_path, "--retries", "0", "--backoff-s", "0",
               "--fail-tasks", "fig7")
     assert rc == 1
     out = capsys.readouterr().out
     assert "quarantined 7 task(s)" in out
     summary = json.loads((tmp_path / "BENCH_campaign.json").read_text())
     assert summary["quarantined"] == 7
-    # the journal holds the forensics trail for every quarantined task
-    wal = list((tmp_path / "journal").glob("*.wal"))
-    assert len(wal) == 1
-    records = [json.loads(line) for line in wal[0].read_text().splitlines()]
-    assert sum(r.get("status") == "quarantined"
-               for r in records if r["type"] == "task") == 7
+    assert {t["failure_class"] for t in summary["tasks"]} == {"error"}
+    # nothing quarantined is stored: the next run retries every task
+    assert not list((tmp_path / "cache").glob("*.json"))

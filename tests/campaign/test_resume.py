@@ -1,30 +1,21 @@
-"""Crash-safe resume and sharded merge.
+"""Resuming and assembling campaigns from the result cache.
 
-A campaign killed mid-run leaves a journal whose completed tasks are
-replayed on ``--resume``; only the unfinished tail re-executes, and the
-final artifacts are byte-identical to an uninterrupted run.  Shards
-partition the same task list deterministically and ``merge_shards``
-reassembles them.  Everything here runs with ``workers=0`` — the
-resume/merge logic is identical on the serial path and the tests stay
-fast and start-method-independent.
+Every success is published to the content-addressed cache before the
+campaign moves on, so re-running a campaign that was killed mid-run
+re-executes only the tasks it had not finished, and its artifacts are
+byte-identical to an uninterrupted run.  Shards partition the same task
+list deterministically; an unsharded run over the cache the shards
+filled assembles them.  Everything here runs with ``workers=0`` — the
+cache logic is identical on the serial path and the tests stay fast and
+start-method-independent.
 """
 
 import os
 
 import pytest
 
-from repro.campaign.cache import ResultCache
-from repro.campaign.executor import (
-    campaign_specs,
-    merge_shards,
-    run_campaign,
-)
-from repro.campaign.journal import (
-    JournalError,
-    campaign_identity,
-    journal_path,
-    load_journal,
-)
+from repro.campaign.cache import ResultCache, task_key
+from repro.campaign.executor import campaign_specs, run_campaign
 from repro.campaign.spec import FigureSpec
 from repro.harness import scenarios
 
@@ -54,14 +45,14 @@ def toy_registry(monkeypatch):
     return REGISTRY
 
 
-def journal_for(tmp_path, registry, **kw):
-    names, specs = campaign_specs(["toy"], registry=registry, **kw)
-    ident = campaign_identity(specs, seed=kw.get("seed", 2020), scale=1.0,
-                              figures=names)
-    return load_journal(journal_path(str(tmp_path), ident))
+def entry_paths(cache, registry, positions):
+    """The cache files of the tasks at ``positions`` in serial order."""
+    _names, specs = campaign_specs(["toy"], seed=7, registry=registry)
+    return [os.path.join(cache.root, f"{task_key(specs[p])}.json")
+            for p in positions]
 
 
-def test_resume_skips_completed_tasks(toy_registry, tmp_path, monkeypatch):
+def test_resume_skips_completed_tasks(toy_registry, tmp_path):
     counting = FigureSpec(
         name="toy", scenario="counting_scenario", title="Toy",
         headers=("x", "y"), axes=("xs",), grid=((1, 2, 3, 4, 5),),
@@ -69,123 +60,80 @@ def test_resume_skips_completed_tasks(toy_registry, tmp_path, monkeypatch):
         base_params={"counter_dir": str(tmp_path)},
     )
     registry = {"toy": counting}
-    jdir = str(tmp_path / "journal")
+    cache = ResultCache(str(tmp_path / "cache"))
     full = run_campaign(["toy"], workers=0, seed=7, registry=registry,
-                        journal_dir=jdir)
+                        cache=cache)
     assert len(full.failures) == 0
-    ran_markers = sorted(p.name for p in tmp_path.glob("ran-*"))
-    assert len(ran_markers) == 5
+    assert len(list(tmp_path.glob("ran-*"))) == 5
 
-    # simulate a crash that lost the last two outcomes: truncate the
-    # journal to header + 3 task records (what an fsynced WAL holds if
-    # the process died mid-wave)
-    names, specs = campaign_specs(["toy"], seed=7, registry=registry)
-    ident = campaign_identity(specs, seed=7, scale=1.0, figures=names)
-    path = journal_path(jdir, ident)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:4]) + "\n")
+    # a crash that lost the last two tasks: only three entries were
+    # published before the process died
+    for path in entry_paths(cache, registry, (3, 4)):
+        os.unlink(path)
     for p in tmp_path.glob("ran-*"):
         p.unlink()
 
     resumed = run_campaign(["toy"], workers=0, seed=7, registry=registry,
-                           journal_dir=jdir, resume=True)
-    assert resumed.resumed_count == 3
+                           cache=cache)
+    assert resumed.cache_hits == 3
     assert len(resumed.failures) == 0
     # only the two lost tasks re-executed
-    assert len(sorted(tmp_path.glob("ran-*"))) == 2
+    assert sorted(p.name for p in tmp_path.glob("ran-*")) == \
+        ["ran-4", "ran-5"]
     assert resumed.record_for("toy") == full.record_for("toy")
+    assert cache.stats()["entries"] == 5
 
 
 def test_resume_tolerates_torn_tail(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
+    """An entry cut off mid-write is a miss: the re-run recomputes it
+    and the record is unchanged."""
+    cache = ResultCache(str(tmp_path / "cache"))
     full = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                        journal_dir=jdir)
-    names, specs = campaign_specs(["toy"], seed=7, registry=toy_registry)
-    ident = campaign_identity(specs, seed=7, scale=1.0, figures=names)
-    path = journal_path(jdir, ident)
+                        cache=cache)
+    (path,) = entry_paths(cache, toy_registry, (2,))
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    # keep header + 2 records, then a half-written third — the exact
-    # on-disk shape of a SIGKILL mid-append
+        text = fh.read()
     with open(path, "w") as fh:
-        fh.write("\n".join(lines[:3]) + "\n" + lines[3][: len(lines[3]) // 2])
+        fh.write(text[: len(text) // 2])
     resumed = run_campaign(["toy"], workers=0, seed=7,
-                           registry=toy_registry, journal_dir=jdir,
-                           resume=True)
-    assert resumed.resumed_count == 2
+                           registry=toy_registry, cache=cache)
+    assert resumed.cache_hits == 4
+    assert not resumed.outcomes[2].from_cache
     assert resumed.record_for("toy") == full.record_for("toy")
 
 
-def test_resume_refuses_foreign_journal(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 journal_dir=jdir)
-    names, specs = campaign_specs(["toy"], seed=7, registry=toy_registry)
-    ident = campaign_identity(specs, seed=7, scale=1.0, figures=names)
-    path = journal_path(jdir, ident)
-    with open(path) as fh:
-        content = fh.read()
-    with open(path, "w") as fh:
-        fh.write(content.replace('"package_digest":"',
-                                 '"package_digest":"00', 1))
-    with pytest.raises(JournalError, match="different code version"):
-        run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                     journal_dir=jdir, resume=True)
-
-
-def test_fresh_run_truncates_stale_journal(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 journal_dir=jdir)
-    # without --resume the stale journal must not leak old decisions
-    again = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                         journal_dir=jdir)
-    assert again.resumed_count == 0
-    state = journal_for(tmp_path / "journal", toy_registry, seed=7)
-    assert len(state.completed()) == 5
-
-
 def test_shard_partition_and_merge(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
+    """Two shards fill one cache; the unsharded run over it is all
+    cache hits and equals the serial run."""
+    cache = ResultCache(str(tmp_path / "cache"))
     serial = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry)
     a = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                     journal_dir=jdir, shard=(1, 2))
+                     cache=cache, shard=(1, 2))
     b = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                     journal_dir=jdir, shard=(2, 2))
+                     cache=cache, shard=(2, 2))
     # deterministic modulo partition, together covering the grid
-    assert len(a.outcomes) == 3 and len(b.outcomes) == 2
-    merged = merge_shards(["toy"], shards=2, seed=7, journal_dir=jdir,
-                          registry=toy_registry)
-    assert merged.record_for("toy") == serial.record_for("toy")
-    assert merged.failures == []
-    assert all(o.resumed for o in merged.outcomes)
-
-
-def test_merge_reports_missing_shard(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 journal_dir=jdir, shard=(1, 2))
-    merged = merge_shards(["toy"], shards=2, seed=7, journal_dir=jdir,
-                          registry=toy_registry)
-    assert merged.record_for("toy") is None
-    missing = [o for o in merged.failures if o.error.startswith("missing")]
-    assert len(missing) == 2
-
-
-def test_merge_falls_back_to_cache(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
-    cache = ResultCache(str(tmp_path / "cache"))
-    serial = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
+    assert [o.spec.index for o in a.outcomes] == [0, 2, 4]
+    assert [o.spec.index for o in b.outcomes] == [1, 3]
+    merged = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
                           cache=cache)
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 journal_dir=jdir, shard=(1, 2))
-    merged = merge_shards(["toy"], shards=2, seed=7, journal_dir=jdir,
-                          cache=cache, registry=toy_registry)
-    assert merged.failures == []
     assert merged.record_for("toy") == serial.record_for("toy")
-    assert sum(1 for o in merged.outcomes if o.from_cache) == 2
+    assert merged.failures == []
+    assert merged.cache_hits == 5
+
+
+def test_unsharded_run_computes_missing_shard(toy_registry, tmp_path):
+    """A shard that never ran leaves its tasks out of the cache; the
+    unsharded run computes them instead of failing."""
+    cache = ResultCache(str(tmp_path / "cache"))
+    serial = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry)
+    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
+                 cache=cache, shard=(1, 2))
+    merged = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
+                          cache=cache)
+    assert merged.failures == []
+    assert [o.from_cache for o in merged.outcomes] == \
+        [True, False, True, False, True]
+    assert merged.record_for("toy") == serial.record_for("toy")
 
 
 def test_bad_shard_rejected(toy_registry):
@@ -194,17 +142,22 @@ def test_bad_shard_rejected(toy_registry):
 
 
 def test_quarantine_terminates_with_partial_results(toy_registry, tmp_path):
-    jdir = str(tmp_path / "journal")
+    cache = ResultCache(str(tmp_path / "cache"))
     res = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                       journal_dir=jdir, retries=2, fail_tasks="toy")
+                       cache=cache, retries=2, fail_tasks="toy")
     assert len(res.quarantined) == 5
     assert all(o.attempts == 3 for o in res.quarantined)
     assert all(o.failure_class == "error" for o in res.quarantined)
     assert "quarantined 5 task(s)" in res.quarantine_report()
-    state = journal_for(tmp_path / "journal", toy_registry, seed=7)
-    assert len(state.quarantined()) == 5
-    # two charged retries per task are in the forensics trail
-    assert len(state.retries) == 15
+    summary = res.summary()
+    assert summary["quarantined"] == 5
+    assert {(t["attempts"], t["failure_class"]) for t in summary["tasks"]} \
+        == {(3, "error")}
+    # quarantined tasks are not stored, so a re-run retries them
+    assert cache.stats()["entries"] == 0
+    again = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
+                         cache=cache)
+    assert again.failures == [] and again.cache_hits == 0
 
 
 def test_backoff_is_seeded_and_bounded(toy_registry, monkeypatch):

@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro import config
 from repro.campaign import FIGURES
-from repro.campaign.spec import FigureSpec, SweepSpec, TaskSpec
+from repro.campaign.spec import FigureSpec, TaskSpec
 
 
 def test_task_spec_round_trip():
@@ -76,27 +75,6 @@ def test_figure_spec_validation():
     with pytest.raises(ValueError):
         FigureSpec(name="x", scenario="s", title="t", headers=("a",),
                    axes=(), grid=())
-
-
-def test_sweep_spec_round_trip_and_expansion():
-    sweep = SweepSpec(figures=("fig7", "fig8"), scale=0.25, seed=11)
-    assert SweepSpec.from_dict(sweep.to_dict()) == sweep
-    tasks = sweep.tasks(FIGURES)
-    assert len(tasks) == FIGURES["fig7"].task_count() + \
-        FIGURES["fig8"].task_count()
-    assert {t.figure for t in tasks} == {"fig7", "fig8"}
-    assert all(t.seed == 11 for t in tasks)
-
-
-def test_sweep_spec_defaults_to_all_figures():
-    tasks = SweepSpec().tasks(FIGURES)
-    assert {t.figure for t in tasks} == set(FIGURES)
-    assert all(t.seed == config.DEFAULT_SEED for t in tasks)
-
-
-def test_sweep_spec_rejects_unknown_figure():
-    with pytest.raises(KeyError):
-        SweepSpec(figures=("fig99",)).tasks(FIGURES)
 
 
 def test_shipped_figures_reference_real_scenarios():

@@ -156,3 +156,19 @@ class TestDrivenWheel:
                          10_000_000]
         # one tick per jiffy while a timer is pending
         assert sim.events_scheduled == 10
+
+    def test_next_tick_armed_inside_add(self):
+        """A callback that arms a timer and then schedules an event for
+        the next jiffy: the tick is armed inside ``add``, before that
+        event, so at the next jiffy the wheel's timer fires first."""
+        tick = 1_000_000
+        sim, driven = make(tick_ns=tick)
+        fired = []
+
+        def at_tick_1():
+            driven.add(0, lambda: fired.append(("wheel", sim.now)))
+            sim.call_at(2 * tick, lambda: fired.append(("other", sim.now)))
+
+        driven.add(tick, at_tick_1)
+        sim.run()
+        assert fired == [("wheel", 2 * tick), ("other", 2 * tick)]

@@ -15,6 +15,11 @@
   the lcore's pacing query over a candidate list.
   ``tests/nic/test_poll_path_reference.py`` pins each fast path against
   them.
+* :class:`ScanRampProfile` and :class:`ScanOnOffProcess` — piecewise
+  rates with every segment lookup a scan from the first segment, and
+  ON/OFF trimming one ``pop(0)`` at a time, as they read before the
+  bisect lookups.  ``tests/nic/test_ramp_reference.py`` pins
+  ``RampProfile`` and ``OnOffProcess`` against them.
 
 Kept as :class:`repro.sim.reference.HeapSimulator` pins the event
 core.
@@ -22,13 +27,14 @@ core.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.dpdk.lcore import IDLE_SPIN_NS, TX_DRAIN_NS, PollModeLcore
 from repro.nic.flows import _mix
 from repro.nic.packet import PacketHeader, ipv4
 from repro.nic.ring import DescriptorRing
 from repro.nic.rss import MICROSOFT_KEY, RssSteering, toeplitz_hash
+from repro.nic.traffic import OnOffProcess, RampProfile
 
 
 class EagerFlowSet:
@@ -129,3 +135,49 @@ def next_wakeup(lcore: PollModeLcore, now: int, needed: int) -> int:
     if not candidates:
         return now + IDLE_SPIN_NS
     return max(now, min(candidates))
+
+
+class _ScanLookups:
+    """Segment lookups that scan from the first segment."""
+
+    def _next_start(self, t: int) -> Optional[int]:
+        for start, _rate in self.segments:
+            if start > t:
+                return start
+        return None
+
+    def _segment_rate(self, t: int) -> int:
+        rate = 0
+        for start, seg_rate in self.segments:
+            if t >= start:
+                rate = seg_rate
+            else:
+                break
+        return rate
+
+    def _iter_pieces(self, t0: int, t1: int):
+        boundaries = [s for s, _ in self.segments if t0 < s < t1]
+        edges = [t0] + boundaries + [t1]
+        for a, b in zip(edges, edges[1:]):
+            yield a, b, self._segment_rate(a)
+
+
+class ScanRampProfile(_ScanLookups, RampProfile):
+    """``RampProfile`` with scanning lookups."""
+
+
+class ScanOnOffProcess(_ScanLookups, OnOffProcess):
+    """``OnOffProcess`` with scanning lookups and one-by-one trimming."""
+
+    def _next_start(self, t: int) -> Optional[int]:
+        # OnOffProcess's draws, then the scan
+        while self.segments[-1][0] <= t:
+            self._extend_to(self.segments[-1][0] + 1)
+        return _ScanLookups._next_start(self, t)
+
+    def advance(self, t1: int) -> int:
+        n = RampProfile.advance(self, t1)
+        segments = self.segments
+        while len(segments) > 1 and segments[1][0] <= self.last_t:
+            segments.pop(0)
+        return n

@@ -109,6 +109,14 @@ ARRIVALS_PIN = {
 ONE_NS_PIN = \
     "1ba7efcc974470e0a64b120a561c8162976d97452ad84269a45968ef4513c91a"
 
+#: sha256 of :func:`_jumps`' answers for 300 ns ON / 11 ns OFF phases
+#: at line rate, per seed
+JUMPS_PIN = {
+    1: "6b61b98e0fa4d85de833fc9fe07e72cc9b56ca19e9abbb0b1eb191c7c26da35b",
+    2: "2bcfeea174c971cf60af063f1a881d515e49b0ba5abe16b2060462bab7434311",
+    3: "99943cb6770a611fc3744849bfc4396b9d1e8b2c10452fdd7cb348c01a867939",
+}
+
 
 class _CountingRandom(random.Random):
     """A ``random.Random`` that counts the phase draws made from it."""
@@ -160,3 +168,29 @@ def test_one_ns_phases_pinned():
     rng = _CountingRandom(5)
     process = OnOffProcess(config.LINE_RATE_PPS, 1, 2, rng)
     assert _interleave(process, unit=1, rng=rng) == ONE_NS_PIN
+
+
+def _jumps(process):
+    """``next_arrival_after``, ``advance`` and ``time_for_count`` over
+    5.1 ms in six jumps, two of them milliseconds long; the sha256 of
+    every answer in call order."""
+    out, t = [], 0
+    for dt in (3 * MS, 1, 7 * US, 2 * MS, 130 * US, 45):
+        out.append(process.next_arrival_after(t + dt))
+        t += dt
+        out.append(process.advance(t))
+        out.append(process.time_for_count(t, 100))
+    out.append(process.total)
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def test_short_phases_long_jumps_pinned():
+    """Queries across ~20,000 phases a few hundred ns long (the first
+    walk and the first advance each span 3 ms) make the same draws and
+    give the same answers as lookups that scan every segment."""
+    got = {
+        s: _jumps(OnOffProcess(config.LINE_RATE_PPS, 300, 11,
+                               RandomStreams(s).stream("bursty")))
+        for s in (1, 2, 3)
+    }
+    assert got == JUMPS_PIN
