@@ -26,12 +26,11 @@ class:
   Isolation guarantees termination: innocents succeed, a genuinely
   poisoned task accumulates charged attempts and is quarantined.
 
-Retries back off exponentially with jitter drawn from the dedicated
-``campaign.backoff`` RNG stream (deterministic per seed, independent of
-every simulation stream).  A task that exhausts its attempts is
-**quarantined**: recorded with its failure history, excluded from the
-figure merge, and reported — the campaign completes with partial
-results and a non-zero exit instead of aborting the whole grid.
+A task is deterministic, so a retry runs at once on the next wave's
+fresh pool.  A task that exhausts its attempts is **quarantined**:
+recorded with its failure history, excluded from the figure merge, and
+reported — the campaign completes with partial results and a non-zero
+exit instead of aborting the whole grid.
 
 Tasks are submitted to the pool at most ``workers`` at a time (the
 backlog stays in the executor's own queue), so a submitted future is
@@ -67,13 +66,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from repro import config
 from repro.campaign.cache import ResultCache, scenario_fingerprint
 from repro.campaign.spec import FigureSpec, TaskSpec, json_normalize
-from repro.sim.rng import RandomStreams
 
 #: how often the wave loop polls futures / repaints the progress line
 _POLL_S = 0.2
-
-#: ceiling on one retry's backoff sleep, seconds
-BACKOFF_CAP_S = 8.0
 
 #: the failure classes the executor distinguishes
 FAILURE_CLASSES = ("error", "timeout", "crash")
@@ -281,32 +276,25 @@ def run_tasks(
     retries: int = 2,
     fail_tasks: Optional[str] = None,
     progress: bool = False,
-    backoff_base_s: float = 0.0,
-    backoff_seed: int = config.DEFAULT_SEED,
 ) -> List[TaskOutcome]:
     """Execute ``specs`` and return one outcome per spec, same order.
 
     ``workers=0`` runs everything serially in the current process
     (no per-task timeout there — nothing to kill).  ``retries`` is the
     number of *re*-attempts after the first failure or timeout.
-    Retries sleep ``min(cap, backoff_base_s * 2^(attempt-1)) * (0.5 + u)``
-    seconds with ``u`` from the dedicated ``campaign.backoff`` stream,
-    so backoff timing is reproducible per seed and never touches any
-    simulation stream.
     """
     t0 = time.perf_counter()
     # everything is keyed by the spec's *position* in ``specs`` — specs
     # are not required to be unique, and keying by identity would let
     # duplicates share (and inflate) one attempts counter
     outcomes: Dict[int, TaskOutcome] = {}
-    fingerprints = {s.scenario: scenario_fingerprint(s.scenario)
-                    for s in specs} if cache is not None else {}
-    backoff_rng = (RandomStreams(backoff_seed).stream("campaign.backoff")
-                   if backoff_base_s > 0 else None)
+    # one source hash per scenario, not per task
+    fingerprints = {
+        name: scenario_fingerprint(name)
+        for name in dict.fromkeys(s.scenario for s in specs)
+    } if cache is not None else {}
     #: per-position class of the last failed attempt
     last_class: Dict[int, str] = {}
-    #: pending backoff sleep (seconds) owed before a task's next attempt
-    backoff_due: Dict[int, float] = {}
 
     pending: List[Tuple[int, TaskSpec]] = []
     for pos, spec in enumerate(specs):
@@ -337,21 +325,11 @@ def run_tasks(
         if cache is not None:
             cache.put(spec, record, elapsed, fingerprints[spec.scenario])
 
-    def _note_failure(pos: int, failure_class: str) -> None:
-        """Record one failed attempt and the backoff it earns."""
-        last_class[pos] = failure_class
-        owed = 0.0
-        if backoff_rng is not None and attempts[pos] > 0:
-            owed = min(BACKOFF_CAP_S,
-                       backoff_base_s * (2.0 ** (attempts[pos] - 1)))
-            owed *= 0.5 + backoff_rng.random()
-        backoff_due[pos] = owed
-
     def _retry(pos: int, spec: TaskSpec, failure_class: str,
                error: str) -> bool:
         """Record a charged failed attempt: True if the task has
         attempts left, else it is quarantined."""
-        _note_failure(pos, failure_class)
+        last_class[pos] = failure_class
         if attempts[pos] <= retries:
             return True
         outcomes[pos] = TaskOutcome(
@@ -359,19 +337,9 @@ def run_tasks(
             failure_class=failure_class, quarantined=True)
         return False
 
-    def _sleep_backoff(batch: Sequence[Tuple[int, TaskSpec]]) -> None:
-        """Pay the largest backoff owed by this wave's retries, once —
-        the wave is a barrier anyway, so per-task sleeps would only
-        serialize it further."""
-        owed = max((backoff_due.pop(pos, 0.0) for pos, _ in batch),
-                   default=0.0)
-        if owed > 0:
-            time.sleep(owed)
-
     if workers <= 0:
         for pos, spec in pending:
             while True:
-                _sleep_backoff([(pos, spec)])
                 attempts[pos] += 1
                 t_task = time.perf_counter()
                 try:
@@ -391,7 +359,6 @@ def run_tasks(
         #: positions that must re-run isolated (crash suspects)
         isolate: set = set()
         while todo:
-            _sleep_backoff(todo)
             # crash suspects first, each in its own single-worker pool:
             # a crash there has exactly one possible culprit, so the
             # attempt can be charged fairly (see module docstring)
@@ -504,7 +471,7 @@ def run_tasks(
                         # nobody is charged, everybody re-runs isolated
                         for pos, spec in crashed:
                             isolate.add(pos)
-                            _note_failure(pos, "crash")
+                            last_class[pos] = "crash"
                             next_round.append((pos, spec))
                     break
                 for fut in list(waiting):
@@ -582,7 +549,6 @@ def run_campaign(
     progress: bool = False,
     registry: Optional[Mapping[str, FigureSpec]] = None,
     shard: Tuple[int, int] = (1, 1),
-    backoff_base_s: float = 0.0,
 ) -> CampaignResult:
     """Run a sweep over ``figures`` (default: every registered figure).
 
@@ -604,8 +570,7 @@ def run_campaign(
     t0 = time.perf_counter()
     outcomes = run_tasks(
         specs, workers=workers, cache=cache, timeout_s=timeout_s,
-        retries=retries, fail_tasks=fail_tasks, progress=progress,
-        backoff_base_s=backoff_base_s, backoff_seed=seed)
+        retries=retries, fail_tasks=fail_tasks, progress=progress)
     return CampaignResult(
         outcomes=outcomes,
         figures=names,

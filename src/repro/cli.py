@@ -504,7 +504,6 @@ def _campaign_cmd(args) -> int:
         fail_tasks=args.fail_tasks,
         progress=True,
         shard=shard,
-        backoff_base_s=args.backoff_s,
     )
     if shard == (1, 1):
         _emit_campaign_artifacts(camp, res, results_dir)
@@ -677,9 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="run the i-th of N deterministic partitions of "
                            "the task grid into the cache (the run without "
                            "--shard assembles them)")
-    crun.add_argument("--backoff-s", type=float, default=0.5,
-                      help="base retry backoff, doubled per attempt with "
-                           "seeded jitter (0 disables; default 0.5)")
     # test/CI hook: make the named figure's (or scenario's) tasks raise
     crun.add_argument("--fail-tasks", default=None, help=argparse.SUPPRESS)
     cst = casub.add_parser(

@@ -10,11 +10,16 @@ reproduction's determinism rests on:
   mutate, and never draw randomness;
 * **L0xx lock discipline** — every path from a successful
   ``try_acquire`` releases before function exit, and never releases
-  unheld (paper §3.2's queue-sharing trylock);
+  unheld (paper §3.2's queue-sharing trylock); one CFG dataflow
+  serves both these rules and the per-function lock summaries that
+  carry them across calls;
 * **A0xx API misuse** — cancelled Handles, ad-hoc ``tracer=``/
   ``checks=`` objects, bare ``except:``.
 
-Run it with ``repro lint [--strict] [--format text|json|sarif]``.
+Run it with ``repro lint [--strict] [--format text|json|sarif]``: exit 1
+on any finding, 2 on an unknown ``--rule`` or a missing path.  A
+reviewed exception is an inline ``# repro: allow[rule-id] reason``
+comment.
 """
 
 from repro.lint.engine import (  # noqa: F401

@@ -11,10 +11,10 @@ zero-perturbation state), and bare ``except:`` swallowing
 from __future__ import annotations
 
 import ast
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.lint.astutil import expr_key, stmt_header_exprs, walk_shallow
-from repro.lint.cfg import build_cfg, forward_dataflow, function_defs
+from repro.lint.cfg import build_cfg, function_defs, solve_and_report
 from repro.lint.engine import FileContext, Finding, rule
 
 # Handle attributes that remain meaningful after cancel()
@@ -42,22 +42,20 @@ def _handle_uses(fn: ast.AST) -> List[Tuple[ast.AST, str, str]]:
     if not keys:
         return []
 
-    cfg = build_cfg(fn)
-
-    def transfer(block, state, findings, report):
+    def transfer(block, state, report: Optional[list]):
         state = dict(state)
         for stmt in block.stmts:
             for header in stmt_header_exprs(stmt):
                 # order within one header: uses are judged against the
                 # state *before* this statement's own cancel runs, which
                 # walk order cannot guarantee — so judge uses first
-                if report:
+                if report is not None:
                     for node in walk_shallow(header):
                         if (isinstance(node, ast.Attribute)
                                 and node.attr not in _STATUS_ATTRS):
                             key = expr_key(node.value)
                             if key in keys and state.get(key) == CANCELLED:
-                                findings.append((
+                                report.append((
                                     node, "A001",
                                     f"`{key}.{node.attr}` used after "
                                     f"`{key}.cancel()`: a cancelled "
@@ -79,25 +77,8 @@ def _handle_uses(fn: ast.AST) -> List[Tuple[ast.AST, str, str]]:
                         state[tk] = LIVE
         return state
 
-    in_states = forward_dataflow(
-        cfg, {k: LIVE for k in keys}, MAYBE,
-        lambda block, state: transfer(block, state, [], False),
-    )
-
-    findings: List[Tuple[ast.AST, str, str]] = []
-    seen: Set[Tuple[int, int]] = set()
-    for block in cfg.blocks:
-        if block.id not in in_states:
-            continue
-        local: List[Tuple[ast.AST, str, str]] = []
-        transfer(block, in_states[block.id], local, True)
-        for node, rid, msg in local:
-            dedup = (getattr(node, "lineno", 0),
-                     getattr(node, "col_offset", 0))
-            if dedup not in seen:
-                seen.add(dedup)
-                findings.append((node, rid, msg))
-    return findings
+    return solve_and_report(
+        build_cfg(fn), {k: LIVE for k in keys}, MAYBE, transfer)[1]
 
 
 @rule("A001", "handle-after-cancel",

@@ -118,9 +118,6 @@ class Program:
         dotted = module_dotted(path)
         return f"{dotted}.{qual}" if dotted else f"{path}::{qual}"
 
-    def line_of(self, key: str) -> int:
-        return self.functions[key]["line"]
-
     # -- symbol resolution ---------------------------------------------- #
 
     def _resolve_all(self) -> None:

@@ -24,7 +24,8 @@ The graph is deliberately approximate — it over-connects exception
 edges and ignores implicit exceptions outside ``try`` — which keeps the
 rules' dataflow simple while erring toward *not* reporting on paths
 that cannot be ruled out.  :func:`forward_dataflow` is the one fixpoint
-solver the rules run over it.
+solver the rules run over it, and :func:`solve_and_report` the one
+reporting sweep after it.
 """
 
 from __future__ import annotations
@@ -343,6 +344,38 @@ def forward_dataflow(cfg: CFG, entry: Dict[str, int], maybe: int,
         if not changed:
             break
     return in_states
+
+
+def solve_and_report(cfg: CFG, entry: Dict[str, int], maybe: int,
+                     transfer: Callable, edge: Optional[Callable] = None
+                     ) -> Tuple[Dict[int, Dict[str, int]], List[tuple]]:
+    """:func:`forward_dataflow`, then one reporting sweep.
+
+    ``transfer(block, state, report)`` returns the out-state and, when
+    ``report`` is a list, appends its findings ``(node, rule_id, ...)``.
+    The fixpoint runs it with ``report=None``; the sweep then runs each
+    reachable block once from its stable in-state, so a loop reports
+    once.  Findings are kept once per (line, column, rule): a ``finally``
+    body inlined on several paths repeats its nodes.  Returns the
+    in-states and the findings."""
+    in_states = forward_dataflow(
+        cfg, entry, maybe,
+        lambda block, state: transfer(block, state, None), edge)
+    findings: List[tuple] = []
+    seen = set()
+    for block in cfg.blocks:
+        if block.id not in in_states:
+            continue
+        local: List[tuple] = []
+        transfer(block, in_states[block.id], local)
+        for finding in local:
+            node = finding[0]
+            key = (getattr(node, "lineno", 0),
+                   getattr(node, "col_offset", 0), finding[1])
+            if key not in seen:
+                seen.add(key)
+                findings.append(finding)
+    return in_states, findings
 
 
 def function_defs(tree: ast.Module):

@@ -16,9 +16,9 @@ extraction, suppression scanning) is cached per module content hash
 but the few lock-relevant files the L-rules re-analyze.
 
 Everything here is deliberately deterministic: files are visited in
-sorted order, findings are reported in a stable sort, and fingerprints
-are content hashes — so two runs of the linter on the same tree are
-byte-identical regardless of ``PYTHONHASHSEED``.
+sorted order and findings are reported in a stable sort — so two runs
+of the linter on the same tree are byte-identical regardless of
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 #: bumped whenever analysis semantics change — invalidates every cache
 #: entry written by earlier analyzer versions
@@ -201,8 +201,6 @@ class FileContext:
 
     def __init__(self, relpath: str, source: str, config: LintConfig):
         self.path = relpath  # posix, repo-relative
-        self.source = source
-        self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=relpath)
         self.config = config
 
@@ -224,11 +222,6 @@ class FileContext:
         return self.under(*self.config.observer_dirs)
 
     # -- helpers -------------------------------------------------------- #
-
-    def line_text(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1]
-        return ""
 
     def finding(
         self, node: ast.AST, rule_id: str, message: str, hint: str = "",
@@ -301,8 +294,6 @@ class LintResult:
     findings: List[Finding] = field(default_factory=list)
     #: findings silenced by an inline suppression (kept for reporting)
     suppressed: List[Finding] = field(default_factory=list)
-    #: findings silenced by the committed baseline
-    baselined: List[Finding] = field(default_factory=list)
     files: int = 0
     #: summary-cache statistics (zero when run without a cache)
     cache_hits: int = 0
@@ -319,12 +310,18 @@ class LintResult:
         return dict(sorted(out.items()))
 
 
+class UsageError(ValueError):
+    """An unknown rule id, or a lint path that does not exist."""
+
+
 def discover_files(config: LintConfig) -> List[str]:
     """Repo-relative posix paths of every ``.py`` under config.paths,
     sorted for deterministic visit order."""
     found = []
     for base in config.paths:
         full = os.path.join(config.root, base)
+        if not os.path.exists(full):
+            raise UsageError(f"no such file or directory: {full}")
         if os.path.isfile(full):
             if full.endswith(".py"):
                 found.append(base)
@@ -338,23 +335,6 @@ def discover_files(config: LintConfig) -> List[str]:
                 rel = os.path.relpath(os.path.join(dirpath, fn), config.root)
                 found.append(rel.replace(os.sep, "/"))
     return sorted(set(found))
-
-
-def fingerprint(
-    finding: Finding, line_text: str, index: int, callee_basis: str = ""
-) -> str:
-    """A line-number-independent identity for baseline matching:
-    hashes the rule, file, the *text* of the flagged line, and the
-    occurrence index among identical (rule, file, text) triples — so
-    unrelated edits that shift line numbers do not invalidate entries.
-    Chain-bearing findings also hash the callee files' content
-    (``callee_basis``), so a change deep in a helper re-surfaces a
-    suppressed finding above it.
-    """
-    basis = f"{finding.rule_id}|{finding.path}|{line_text.strip()}|{index}"
-    if callee_basis:
-        basis += f"|{callee_basis}"
-    return hashlib.sha256(basis.encode()).hexdigest()[:16]
 
 
 def config_digest(config: LintConfig, rules: List[Rule]) -> str:
@@ -406,7 +386,7 @@ def _selected_rules(config: LintConfig) -> List[Rule]:
     if config.select:
         unknown = [r for r in config.select if r not in RULES]
         if unknown:
-            raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
+            raise UsageError(f"unknown rule id(s): {', '.join(unknown)}")
         ids = list(config.select)
     else:
         ids = list(RULES)
@@ -516,47 +496,36 @@ def _apply_suppressions(
     return active, suppressed
 
 
-def lint_file(
-    relpath: str, source: str, config: LintConfig,
-    rules: Optional[List[Rule]] = None,
-) -> Tuple[List[Finding], List[Finding]]:
-    """Lint one file; returns (active findings, suppressed findings).
+def lint_file(relpath: str, source: str, config: LintConfig
+              ) -> Tuple[List[Finding], List[Finding]]:
+    """Lint one in-memory module through :func:`run_lint`'s pipeline;
+    returns (active findings, suppressed findings).
 
     Program rules run over the single-file program, so cross-function
     patterns within the file (a helper releasing its caller's lock) are
     analyzed exactly as in a whole-tree run.
     """
-    if rules is None:
-        rules = _selected_rules(config)
-    file_rules = [r for r in rules if r.scope == "file"]
-    program_rules = [r for r in rules if r.scope == "program"]
-    rule_ids = {r.rule_id for r in rules}
-
-    entry = _analyze_file(relpath, source, config, file_rules)
-    raw = [finding_from_dict(d) for d in entry["findings"]]
-    if entry["facts"] is not None and program_rules:
-        pc = ProgramContext(
-            config, {relpath: source}, {relpath: entry["facts"]})
-        for r in program_rules:
-            raw.extend(f for f in r.check(pc) if f.path == relpath)
-    raw = sorted(set(raw))
-    supp = [
-        Suppression(d["line"], tuple(d["rule_ids"]), d["reason"])
-        for d in entry["suppressions"]
-    ]
-    return _apply_suppressions(
-        raw, supp, source.splitlines(), rule_ids, config, relpath)
+    result = _lint_sources(config, {relpath: source})
+    return result.findings, result.suppressed
 
 
-def run_lint(
-    config: LintConfig,
-    baseline_fingerprints: Iterable[str] = (),
-    cache=None,
-) -> LintResult:
-    """Lint every file under ``config.paths``; baseline-filtered.
+def run_lint(config: LintConfig, cache=None) -> LintResult:
+    """Lint every file under ``config.paths``.
 
     ``cache`` is an optional :class:`repro.lint.cache.SummaryCache`;
     cached modules skip parsing, file rules, and fact extraction."""
+    sources: Dict[str, str] = {}
+    for relpath in discover_files(config):
+        with open(os.path.join(config.root, relpath), encoding="utf-8") as fh:
+            sources[relpath] = fh.read()
+    return _lint_sources(config, sources, cache)
+
+
+def _lint_sources(
+    config: LintConfig, sources: Dict[str, str], cache=None
+) -> LintResult:
+    """Analyse each module (or load it from ``cache``), run the program
+    rules over all of them, then apply each file's suppressions."""
     rules = _selected_rules(config)
     file_rules = [r for r in rules if r.scope == "file"]
     program_rules = [r for r in rules if r.scope == "program"]
@@ -564,11 +533,6 @@ def run_lint(
     digest = config_digest(config, rules)
 
     result = LintResult()
-    sources: Dict[str, str] = {}
-    for relpath in discover_files(config):
-        with open(os.path.join(config.root, relpath), encoding="utf-8") as fh:
-            sources[relpath] = fh.read()
-
     entries: Dict[str, Dict[str, Any]] = {}
     for relpath in sorted(sources):
         entry = None
@@ -596,7 +560,6 @@ def run_lint(
             for f in r.check(pc):
                 program_findings.setdefault(f.path, []).append(f)
 
-    active_all: List[Finding] = []
     for relpath in sorted(sources):
         e = entries[relpath]
         raw = [finding_from_dict(d) for d in e["findings"]]
@@ -609,77 +572,19 @@ def run_lint(
         active, suppressed = _apply_suppressions(
             raw, supp, sources[relpath].splitlines(), rule_ids,
             config, relpath)
-        active_all.extend(active)
+        result.findings.extend(active)
         result.suppressed.extend(suppressed)
 
-    baseline = set(baseline_fingerprints)
-    if baseline:
-        kept: List[Finding] = []
-        for f, fp in with_fingerprints(active_all, sources):
-            if fp in baseline:
-                result.baselined.append(f)
-            else:
-                kept.append(f)
-        active_all = kept
-
-    result.findings = sorted(active_all)
+    result.findings.sort()
     result.suppressed.sort()
-    result.baselined.sort()
     return result
-
-
-def with_fingerprints(
-    findings: Iterable[Finding], sources: Dict[str, str]
-) -> List[Tuple[Finding, str]]:
-    """Pair each finding with its baseline fingerprint (stable order)."""
-    line_cache: Dict[str, List[str]] = {
-        p: src.splitlines() for p, src in sources.items()
-    }
-    hash_cache: Dict[str, str] = {}
-
-    def content_hash(path: str) -> str:
-        h = hash_cache.get(path)
-        if h is None:
-            h = hashlib.sha256(
-                sources.get(path, "").encode()).hexdigest()[:12]
-            hash_cache[path] = h
-        return h
-
-    seen: Dict[Tuple[str, str, str], int] = {}
-    out: List[Tuple[Finding, str]] = []
-    for f in sorted(findings):
-        lines = line_cache.get(f.path, [])
-        text = lines[f.line - 1] if 1 <= f.line <= len(lines) else ""
-        key = (f.rule_id, f.path, text.strip())
-        index = seen.get(key, 0)
-        seen[key] = index + 1
-        callee_basis = ""
-        if f.chain:
-            chain_paths: List[str] = []
-            for hop in f.chain:
-                if hop[0] != f.path and hop[0] not in chain_paths:
-                    chain_paths.append(hop[0])
-            callee_basis = ",".join(
-                content_hash(p) for p in chain_paths)
-        out.append((f, fingerprint(f, text, index, callee_basis)))
-    return out
-
-
-def read_sources(config: LintConfig) -> Dict[str, str]:
-    """The file set a lint run would analyse (for fingerprinting)."""
-    out: Dict[str, str] = {}
-    for relpath in discover_files(config):
-        with open(os.path.join(config.root, relpath), encoding="utf-8") as fh:
-            out[relpath] = fh.read()
-    return out
 
 
 # re-exported for rule modules
 __all__ = [
     "ANALYZER_VERSION", "Finding", "Rule", "RULES", "rule", "program_rule",
     "LintConfig", "FileContext", "ProgramContext", "LintResult",
-    "run_lint", "lint_file", "discover_files", "fingerprint",
+    "UsageError", "run_lint", "lint_file", "discover_files",
     "config_digest", "finding_to_dict", "finding_from_dict",
-    "with_fingerprints", "read_sources", "parse_suppressions",
-    "Suppression",
+    "parse_suppressions", "Suppression",
 ]

@@ -22,6 +22,9 @@ interprocedural through the lock summaries of
   the caller: branch refinement applies to the call result, and a
   leak of a helper-acquired lock reports as L003 with the call chain.
 
+A summary is the same analysis run on the helper alone, during fact
+extraction and without a call environment (:func:`compute_lock_summary`).
+
 Lock objects are identified textually (``sq.lock``) and mapped across
 calls through the argument/parameter binding.  At the normal exit,
 HELD or MAYBE means some path leaks (L001 locally, L003 through a
@@ -35,7 +38,7 @@ import ast
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.astutil import expr_key, stmt_header_exprs, walk_shallow
-from repro.lint.cfg import Block, build_cfg, forward_dataflow, function_defs
+from repro.lint.cfg import Block, build_cfg, function_defs, solve_and_report
 from repro.lint.engine import Finding, ProgramContext, program_rule
 
 # lattice: FREE < HELD, MAYBE = join(FREE, HELD)
@@ -65,98 +68,6 @@ def _release_call(node: ast.AST) -> Optional[Tuple[str, ast.Call]]:
 
 def _key_root(key: str) -> str:
     return key.split(".", 1)[0]
-
-
-# ---------------------------------------------------------------------- #
-# summaries (consumed by repro.lint.summaries during fact extraction)
-# ---------------------------------------------------------------------- #
-
-
-def _release_exit_state(fn: ast.AST, keys: List[str]) -> Dict[str, int]:
-    """Exit state of ``keys`` assumed HELD at entry — classifies a
-    release-only helper as releasing always / on some paths / never."""
-    cfg = build_cfg(fn)
-    entry = {k: HELD for k in keys}
-
-    def transfer(block, state):
-        state = dict(state)
-        for stmt in block.stmts:
-            for header in stmt_header_exprs(stmt):
-                for node in walk_shallow(header):
-                    rel = _release_call(node)
-                    if rel and rel[0] in state:
-                        state[rel[0]] = FREE
-        return state
-
-    in_states = forward_dataflow(cfg, entry, MAYBE, transfer)
-    return in_states.get(cfg.exit.id, dict(entry))
-
-
-def compute_lock_summary(
-    fn: ast.AST, params: List[str]
-) -> Optional[Dict[str, Any]]:
-    """The caller-visible lock effects of one function, or None.
-
-    ``{"releases": {key: "always"|"some"}, "acquire_key": key|None,
-    "acquire_line": int}`` — keys are lock expressions rooted at a
-    parameter or ``self``, the only locks a caller can map."""
-    acquires: Dict[str, ast.Call] = {}
-    releases: Dict[str, ast.Call] = {}
-    flag_vars: Dict[str, str] = {}
-    ops = False
-    for node in walk_shallow(fn):
-        acq = _acquire_call(node)
-        if acq:
-            ops = True
-            acquires.setdefault(acq[0], acq[1])
-        rel = _release_call(node)
-        if rel:
-            ops = True
-            releases.setdefault(rel[0], rel[1])
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            a = _acquire_call(node.value)
-            if a and isinstance(target, ast.Name):
-                flag_vars[target.id] = a[0]
-    if not ops:
-        return None
-    roots = set(params) | {"self", "cls"}
-
-    rel_summary: Dict[str, str] = {}
-    rel_only = sorted(
-        k for k in releases
-        if k not in acquires and _key_root(k) in roots
-    )
-    if rel_only:
-        exit_state = _release_exit_state(fn, rel_only)
-        for k in rel_only:
-            status = exit_state.get(k, HELD)
-            if status == FREE:
-                rel_summary[k] = "always"
-            elif status == MAYBE:
-                rel_summary[k] = "some"
-
-    acquire_key: Optional[str] = None
-    acquire_line = 0
-    returned: Set[str] = set()
-    for node in walk_shallow(fn):
-        if isinstance(node, ast.Return) and node.value is not None:
-            a = _acquire_call(node.value)
-            if a:
-                returned.add(a[0])
-            elif (isinstance(node.value, ast.Name)
-                    and node.value.id in flag_vars):
-                returned.add(flag_vars[node.value.id])
-    candidates = sorted(k for k in returned if _key_root(k) in roots)
-    if len(candidates) == 1 and candidates[0] in acquires:
-        acquire_key = candidates[0]
-        acquire_line = acquires[acquire_key].lineno
-
-    return {
-        "releases": rel_summary,
-        "acquire_key": acquire_key,
-        "acquire_line": acquire_line,
-    }
 
 
 # ---------------------------------------------------------------------- #
@@ -242,17 +153,21 @@ class _CallEnv:
 
 
 class _FunctionLocks:
-    """The lock analysis of one function."""
+    """The lock analysis of one function.
+
+    The L-rules run it with the file's call environment; the function's
+    summary (:func:`compute_lock_summary`) runs it without one."""
 
     def __init__(self, fn: ast.AST, env: Optional[_CallEnv] = None):
         self.fn = fn
         self.env = env
-        self.cfg = build_cfg(fn)
         #: lock key -> first acquire site (for reporting): a direct
         #: try_acquire call, or the call into an acquire helper
         self.acquire_sites: Dict[str, ast.Call] = {}
         #: helper-acquired keys -> (callee key, callee acquire line)
         self.helper_acquires: Dict[str, Tuple[str, int]] = {}
+        #: keys of every ``<lock>.release(...)`` call
+        self.released: Set[str] = set()
         #: boolean variable name -> lock key (``ok = x.try_acquire(...)``)
         self.flag_vars: Dict[str, str] = {}
         #: keys whose acquire result the function returns — the caller
@@ -272,6 +187,7 @@ class _FunctionLocks:
         return None
 
     def _scan(self) -> None:
+        returned: List[ast.expr] = []
         for node in walk_shallow(self.fn):
             acq = _acquire_call(node)
             if acq:
@@ -282,18 +198,24 @@ class _FunctionLocks:
                     key, callee, line = helper
                     self.acquire_sites.setdefault(key, node)
                     self.helper_acquires.setdefault(key, (callee, line))
+            rel = _release_call(node)
+            if rel:
+                self.released.add(rel[0])
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
                 acq = self._call_acquire(node.value)
                 if acq and isinstance(target, ast.Name):
                     self.flag_vars[target.id] = acq[0]
             if isinstance(node, ast.Return) and node.value is not None:
-                acq = self._call_acquire(node.value)
-                if acq:
-                    self.returned_keys.add(acq[0])
-                elif (isinstance(node.value, ast.Name)
-                        and node.value.id in self.flag_vars):
-                    self.returned_keys.add(self.flag_vars[node.value.id])
+                returned.append(node.value)
+        # only once every flag is bound: the walk can meet ``return ok``
+        # before the ``ok = x.try_acquire(...)`` it returns
+        for value in returned:
+            acq = self._call_acquire(value)
+            if acq:
+                self.returned_keys.add(acq[0])
+            elif isinstance(value, ast.Name) and value.id in self.flag_vars:
+                self.returned_keys.add(self.flag_vars[value.id])
 
     # -- branch refinement --------------------------------------------- #
 
@@ -320,27 +242,26 @@ class _FunctionLocks:
 
     def _transfer(
         self, block: Block, state: Dict[str, int],
-        findings: List[Tuple[ast.AST, str, str, tuple]],
-        report: bool,
+        report: Optional[List[Tuple[ast.AST, str, str, tuple]]],
     ) -> Dict[str, int]:
         state = dict(state)
         for stmt in block.stmts:
             for header in stmt_header_exprs(stmt):
-                self._transfer_expr(header, state, findings, report)
+                self._transfer_expr(header, state, report)
         return state
 
     def _transfer_expr(
         self, header: ast.AST, state: Dict[str, int],
-        findings: List[Tuple[ast.AST, str, str, tuple]],
-        report: bool,
+        report: Optional[List[Tuple[ast.AST, str, str, tuple]]],
     ) -> None:
         for node in walk_shallow(header):
             rel = _release_call(node)
             if rel is not None:
                 key, call = rel
-                if key in self.acquire_sites:
-                    if report and state.get(key, FREE) == FREE:
-                        findings.append((
+                if key in state:
+                    if (report is not None and state[key] == FREE
+                            and key in self.acquire_sites):
+                        report.append((
                             call, "L002",
                             f"release of `{key}` not dominated by a "
                             "successful try_acquire on this path",
@@ -388,59 +309,88 @@ class _FunctionLocks:
 
     # -- fixpoint ------------------------------------------------------ #
 
-    def run(self) -> List[Tuple[ast.AST, str, str, tuple]]:
-        if not self.acquire_sites:
-            return []
-        entry_state: Dict[str, int] = {k: FREE for k in self.acquire_sites}
-        # two passes: fixpoint first (no reporting), then one reporting
-        # sweep over the stable states so loops do not duplicate findings
-        in_states = forward_dataflow(
-            self.cfg, entry_state, MAYBE,
-            lambda block, state: self._transfer(block, state, [], False),
-            self._edge_state,
-        )
+    def run(self, held: Iterable[str] = ()) -> Tuple[
+            List[Tuple[ast.AST, str, str, tuple]], Dict[str, int]]:
+        """(findings, exit state), entering every acquired key FREE and
+        every ``held`` key HELD; builds no CFG when there is neither.
 
-        findings: List[Tuple[ast.AST, str, str, tuple]] = []
-        seen: Set[Tuple[int, str]] = set()
-        for block in self.cfg.blocks:
-            if block.id not in in_states:
+        The findings are the L002 releases, then one L001/L003 per
+        acquired key still HELD or MAYBE at the normal exit."""
+        entry: Dict[str, int] = {k: FREE for k in self.acquire_sites}
+        entry.update((k, HELD) for k in held)
+        if not entry:
+            return [], {}
+        cfg = build_cfg(self.fn)
+        in_states, findings = solve_and_report(
+            cfg, entry, MAYBE, self._transfer, self._edge_state)
+        exit_state = in_states.get(cfg.exit.id, {})
+        for key, status in sorted(exit_state.items()):
+            if status == FREE or key not in self.acquire_sites:
                 continue
-            local: List[Tuple[ast.AST, str, str, tuple]] = []
-            self._transfer(block, in_states[block.id], local, True)
-            for node, rid, msg, chain in local:
-                dedup = (getattr(node, "lineno", 0), rid)
-                if dedup not in seen:
-                    seen.add(dedup)
-                    findings.append((node, rid, msg, chain))
+            if key in self.returned_keys:
+                # acquire-helper pattern: the function hands the
+                # acquire result to its caller, who owns the release
+                continue
+            site = self.acquire_sites[key]
+            some = "some path" if status == MAYBE else "every path"
+            helper = self.helper_acquires.get(key)
+            if helper is not None:
+                callee, line = helper
+                findings.append((
+                    site, "L003",
+                    f"lock `{key}` acquired through helper call can "
+                    f"reach function exit still held on {some}",
+                    ((callee, line),),
+                ))
+            else:
+                findings.append((
+                    site, "L001",
+                    f"lock `{key}` acquired here can reach function "
+                    f"exit still held on {some}",
+                    (),
+                ))
+        return findings, exit_state
 
-        exit_state = in_states.get(self.cfg.exit.id)
-        if exit_state:
-            for key, status in sorted(exit_state.items()):
-                if status not in (HELD, MAYBE):
-                    continue
-                if key in self.returned_keys:
-                    # acquire-helper pattern: the function hands the
-                    # acquire result to its caller, who owns the release
-                    continue
-                site = self.acquire_sites[key]
-                some = "some path" if status == MAYBE else "every path"
-                helper = self.helper_acquires.get(key)
-                if helper is not None:
-                    callee, line = helper
-                    findings.append((
-                        site, "L003",
-                        f"lock `{key}` acquired through helper call can "
-                        f"reach function exit still held on {some}",
-                        ((callee, line),),
-                    ))
-                else:
-                    findings.append((
-                        site, "L001",
-                        f"lock `{key}` acquired here can reach function "
-                        f"exit still held on {some}",
-                        (),
-                    ))
-        return findings
+
+def compute_lock_summary(
+    fn: ast.AST, params: List[str]
+) -> Optional[Dict[str, Any]]:
+    """The caller-visible lock effects of one function, or None when it
+    calls neither ``try_acquire`` nor ``release``.
+
+    ``{"releases": {key: "always"|"some"}, "acquire_key": key|None,
+    "acquire_line": int}`` — keys are lock expressions rooted at a
+    parameter or ``self``, the only locks a caller can map.  A key the
+    function releases but never acquires enters :meth:`_FunctionLocks.run`
+    HELD: FREE at exit means it releases always, MAYBE on some paths."""
+    locks = _FunctionLocks(fn)
+    if not locks.acquire_sites and not locks.released:
+        return None
+    roots = set(params) | {"self", "cls"}
+
+    releases: Dict[str, str] = {}
+    held = sorted(
+        k for k in locks.released
+        if k not in locks.acquire_sites and _key_root(k) in roots
+    )
+    if held:
+        exit_state = locks.run(held)[1]
+        for k in held:
+            status = exit_state.get(k, HELD)
+            if status != HELD:
+                releases[k] = "always" if status == FREE else "some"
+
+    acquire_key: Optional[str] = None
+    candidates = sorted(
+        k for k in locks.returned_keys if _key_root(k) in roots)
+    if len(candidates) == 1 and candidates[0] in locks.acquire_sites:
+        acquire_key = candidates[0]
+    return {
+        "releases": releases,
+        "acquire_key": acquire_key,
+        "acquire_line":
+            locks.acquire_sites[acquire_key].lineno if acquire_key else 0,
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -477,7 +427,7 @@ def _file_lock_findings(pc: ProgramContext, path: str):
     env = _CallEnv(pc, path)
     prog = pc.program
     for fn in function_defs(ctx.tree):
-        for node, rid, msg, extra in _FunctionLocks(fn, env).run():
+        for node, rid, msg, extra in _FunctionLocks(fn, env).run()[0]:
             chain: tuple = ()
             if rid == "L003" and extra:
                 callee, line = extra[0]

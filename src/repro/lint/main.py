@@ -1,18 +1,17 @@
 """``repro lint`` — the CLI entry point (wired from repro.cli).
 
-Exit codes: 0 clean, 1 findings (or strict-mode contract breaches),
-2 usage errors.
+Exit codes: 0 clean, 1 findings, 2 usage errors (an unknown ``--rule``
+id, or a lint path that does not exist under ``--root``).
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from typing import List, Optional
+from typing import Optional
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.cache import SummaryCache
-from repro.lint.engine import LintConfig, run_lint
+from repro.lint.engine import LintConfig, UsageError, run_lint
 from repro.lint.report import render_json, render_sarif, render_text
 
 #: default cache location, relative to --root (a benchmarks artifact
@@ -38,31 +37,12 @@ def build_cache(args) -> Optional[SummaryCache]:
 
 
 def main(args) -> int:
-    cfg = build_config(args)
-    baseline_path = args.baseline or os.path.join(
-        args.root, baseline_mod.DEFAULT_BASELINE)
-
-    if args.write_baseline:
-        n = baseline_mod.write_baseline(baseline_path, cfg)
-        print(f"wrote {n} baseline entr{'y' if n == 1 else 'ies'} "
-              f"-> {baseline_path}")
-        return 0
-
-    entries = baseline_mod.load_baseline(baseline_path)
-    problems: List[str] = []
-    if args.strict:
-        # strict mode: the ratchet must be fully paid off
-        if entries:
-            problems.append(
-                f"--strict: baseline {baseline_path} still has "
-                f"{len(entries)} grandfathered entr"
-                f"{'y' if len(entries) == 1 else 'ies'}"
-            )
-        entries = {}
-
     cache = build_cache(args)
-    result = run_lint(cfg, baseline_fingerprints=entries.keys(),
-                      cache=cache)
+    try:
+        result = run_lint(build_config(args), cache=cache)
+    except UsageError as exc:
+        print(f"repro lint: {exc}", file=sys.stderr)
+        return 2
     if cache is not None:
         # stderr, never stdout: report output must stay byte-identical
         # between cold and warm runs
@@ -85,9 +65,7 @@ def main(args) -> int:
         print(f"{len(result.findings)} finding(s) -> {out}")
     else:
         print(rendered, end="")
-    for p in problems:
-        print(p)
-    return 1 if (result.findings or problems) else 0
+    return 1 if result.findings else 0
 
 
 def add_parser(sub) -> None:
@@ -101,16 +79,12 @@ def add_parser(sub) -> None:
     p.add_argument("--root", default=".",
                    help="repository root paths are relative to")
     p.add_argument("--strict", action="store_true",
-                   help="fail on any finding, unused suppression, "
-                        "reasonless suppression, or baseline entry")
+                   help="the CI gate's spelling; every run already fails "
+                        "on any finding, unused or reasonless suppression")
     p.add_argument("--format", choices=("text", "json", "sarif"),
                    default="text")
     p.add_argument("--rule", action="append", default=None,
                    metavar="ID", help="run only this rule id (repeatable)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline file (default <root>/lint-baseline.json)")
-    p.add_argument("--write-baseline", action="store_true",
-                   help="snapshot current findings into the baseline")
     p.add_argument("--out", default=None,
                    help="write the report to a file instead of stdout")
     p.add_argument("--cache-dir", default=None,

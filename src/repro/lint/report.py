@@ -31,13 +31,8 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         f"{total} finding(s) in {result.files} file(s)"
         + (f" [{parts}]" if parts else "")
     )
-    extras = []
     if result.suppressed:
-        extras.append(f"{len(result.suppressed)} suppressed")
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
-    if extras:
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({len(result.suppressed)} suppressed)"
     lines.append(summary)
     if verbose and result.suppressed:
         lines.append("suppressed:")
@@ -70,7 +65,6 @@ def render_json(result: LintResult) -> str:
         "counts": result.counts(),
         "findings": [_finding_dict(f) for f in result.findings],
         "suppressed": [_finding_dict(f) for f in result.suppressed],
-        "baselined": [_finding_dict(f) for f in result.baselined],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -149,10 +143,3 @@ def render_sarif(result: LintResult) -> str:
         }],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-RENDERERS = {
-    "text": render_text,
-    "json": lambda r: render_json(r),
-    "sarif": lambda r: render_sarif(r),
-}

@@ -27,6 +27,7 @@ from repro.lint.astutil import (
     walk_shallow,
 )
 from repro.lint.determinism import _WALLCLOCK_DATETIME, _WALLCLOCK_TIME
+from repro.lint.locks import compute_lock_summary
 
 #: receiver names that denote the object a method runs on
 SELF_NAMES = ("self", "cls")
@@ -162,7 +163,7 @@ class _FunctionScanner:
             elif isinstance(node, (ast.Assign, ast.AugAssign,
                                    ast.AnnAssign, ast.Delete)):
                 self._scan_write(node, facts, assigned, declared_global)
-        facts["lock"] = self._lock_summary()
+        facts["lock"] = compute_lock_summary(self.fn, self.pos_params)
         return facts
 
     def _ctor_ref(self, value: ast.AST) -> Optional[str]:
@@ -304,13 +305,6 @@ class _FunctionScanner:
             and root not in declared_global
         ):
             facts["global_writes"].append(_site(node, desc))
-
-    # -- locks ---------------------------------------------------------- #
-
-    def _lock_summary(self) -> Optional[Dict[str, Any]]:
-        from repro.lint.locks import compute_lock_summary
-
-        return compute_lock_summary(self.fn, self.pos_params)
 
 
 def extract_module_facts(

@@ -335,6 +335,19 @@ class OnOffProcess(RampProfile):
         duty = self.mean_on_ns / (self.mean_on_ns + self.mean_off_ns)
         return self.burst_rate_pps * duty
 
+    def next_arrival_after(self, t: int) -> Optional[int]:
+        # at zero burst rate no phase carries a packet: answer None, as
+        # CbrProcess(0) does, and draw no phase (the walk would draw
+        # until its guard gives up); time_for_count likewise
+        if not self.burst_rate_pps:
+            return None
+        return super().next_arrival_after(t)
+
+    def time_for_count(self, t: int, k: int) -> Optional[int]:
+        if not self.burst_rate_pps and k > 0:
+            return None
+        return super().time_for_count(t, k)
+
     def _extend_to(self, t: int) -> None:
         segments = self.segments
         while segments[-1][0] <= t:

@@ -73,7 +73,7 @@ def test_campaign_pooled_cli_matches_serial(tmp_path, capsys):
     assert main(args) == 0
     summary = json.loads((pooled / "BENCH_campaign.json").read_text())
     assert summary["cache"]["hit_rate"] == 1.0
-    assert main([*args, "--no-cache", "--retries", "1", "--backoff-s", "0",
+    assert main([*args, "--no-cache", "--retries", "1",
                  "--fail-tasks", "fig7"]) == 1
     capsys.readouterr()
 
@@ -167,8 +167,7 @@ def test_campaign_bad_flag_combinations(tmp_path, capsys):
 
 
 def test_campaign_quarantine_report_printed(tmp_path, capsys):
-    rc = _run(tmp_path, "--retries", "0", "--backoff-s", "0",
-              "--fail-tasks", "fig7")
+    rc = _run(tmp_path, "--retries", "0", "--fail-tasks", "fig7")
     assert rc == 1
     out = capsys.readouterr().out
     assert "quarantined 7 task(s)" in out

@@ -89,6 +89,20 @@ def test_cache_round_trip(toy_registry, tmp_path):
     assert other.cache_hits == 0
 
 
+def test_scenario_source_hashed_once_per_run(toy_registry, tmp_path,
+                                             monkeypatch):
+    import repro.campaign.executor as executor
+
+    hashed = []
+    real = executor.scenario_fingerprint
+    monkeypatch.setattr(executor, "scenario_fingerprint",
+                        lambda name: hashed.append(name) or real(name))
+    result = run_campaign(["toy"], workers=0, registry=toy_registry,
+                          cache=ResultCache(str(tmp_path)))
+    assert len(result.outcomes) == 3
+    assert hashed == ["toy_scenario"]
+
+
 def test_injected_failure_exhausts_retries(toy_registry):
     result = run_campaign(["toy"], workers=0, retries=2,
                           fail_tasks="toy", registry=toy_registry)

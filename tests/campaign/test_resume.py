@@ -158,21 +158,3 @@ def test_quarantine_terminates_with_partial_results(toy_registry, tmp_path):
     again = run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
                          cache=cache)
     assert again.failures == [] and again.cache_hits == 0
-
-
-def test_backoff_is_seeded_and_bounded(toy_registry, monkeypatch):
-    import repro.campaign.executor as executor
-
-    sleeps: list = []
-    monkeypatch.setattr(executor.time, "sleep", sleeps.append)
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 retries=2, fail_tasks="toy", backoff_base_s=0.5)
-    first = list(sleeps)
-    sleeps.clear()
-    run_campaign(["toy"], workers=0, seed=7, registry=toy_registry,
-                 retries=2, fail_tasks="toy", backoff_base_s=0.5)
-    assert first == sleeps  # jitter comes from the seeded stream
-    assert all(0 < s <= executor.BACKOFF_CAP_S * 1.5 for s in first)
-    assert len(first) == 10  # 5 tasks x 2 charged retries
-    # jitter actually varies (not a constant), and the cap holds
-    assert len(set(first)) > 1

@@ -101,6 +101,25 @@ def test_acquire_helper_leak_is_l003_with_chain(tmp_path):
     assert all(f.rule_id != "L001" for f in findings)
 
 
+def test_acquire_helper_returning_a_flag_is_clean(tmp_path):
+    """``ok = x.try_acquire(); return ok`` hands the lock to the caller
+    as ``return x.try_acquire()`` does: the helper is clean, and the
+    caller's leak is L003."""
+    findings = _lint_tree(tmp_path, {
+        "src/repro/kernel/drain.py": """
+            def grab(sq, kt):
+                got = sq.lock.try_acquire(kt)
+                return got
+
+            def drain(sq, kt):
+                if grab(sq, kt):
+                    return sq.queue.rx_burst(32)
+                return None
+        """,
+    }, select=("L001", "L002", "L003"))
+    assert [(f.rule_id, f.line) for f in findings] == [("L003", 7)]
+
+
 def test_acquire_helper_with_release_on_all_paths_is_clean(tmp_path):
     findings = _lint_tree(tmp_path, {
         "src/repro/kernel/drain.py": """

@@ -147,15 +147,14 @@ def test_interprocedural_mutation_detected(
     rc, out = _run_lint(str(root))
     assert rc == 1, f"mutated tree must fail lint:\n{out}"
     doc = json.loads(out)
-    hits = [f for f in doc["findings"]
-            if f["rule"] == rule and f["path"] == where]
-    assert hits, (
-        f"expected {rule} in {where}, got: "
-        f"{[(f['rule'], f['path']) for f in doc['findings']]}"
+    got = [(f["rule"], f["path"]) for f in doc["findings"]]
+    assert got == [(rule, where)], (
+        f"expected exactly one {rule} in {where}, got: {got}"
     )
     if chained:
-        assert any(f.get("chain") for f in hits), (
-            f"{rule} finding should carry its witness call chain: {hits}"
+        assert doc["findings"][0].get("chain"), (
+            f"{rule} finding should carry its witness call chain: "
+            f"{doc['findings']}"
         )
 
 

@@ -83,6 +83,17 @@ def test_onoff_advance_exactly_on_committed_boundary():
     assert again > first
 
 
+def test_onoff_zero_rate_answers_none_without_drawing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    p = OnOffProcess(0, 200 * US, 600 * US, rng)
+    assert p.next_arrival_after(0) is None
+    assert p.time_for_count(0, 1) is None
+    assert p.time_for_count(7, 0) == 7
+    assert rng.getstate() == state
+    assert p.advance(10_000 * US) == 0
+
+
 def test_onoff_repeated_advance_to_same_time_adds_nothing():
     p = OnOffProcess(5_000_000, 50 * US, 50 * US, random.Random(4))
     p.advance(100 * US)
